@@ -103,7 +103,7 @@ def test_pebbling_tradeoff_curve(benchmark):
 EXACT_TIME_LIMIT = 60.0
 
 #: SAT budget handed to the exact pebbling strategy (well under the
-#: wall-clock gate; the exact ESOP covers take their own per-LUT budget).
+#: wall-clock gate; the exact ESOP covers come from a table and need none).
 EXACT_SAT_BUDGET = 20.0
 
 

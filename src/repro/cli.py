@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     flow.add_argument(
         "--lut-synth", choices=["esop", "exact", "tbs"], default="esop",
         help="per-LUT sub-synthesizer of the lut flow (default: esop; "
-        "exact = SAT-minimum ESOP for small LUTs)",
+        "exact = T-cost-optimal ESOP for LUTs of <= 4 inputs)",
     )
     flow.add_argument(
         "--exact-time-budget", type=float, metavar="SECONDS",

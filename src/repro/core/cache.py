@@ -53,7 +53,11 @@ __all__ = ["ResultCache", "cache_key", "CACHE_FORMAT_VERSION"]
 #: canonicalisation became recursive and order-insensitive (dict- and
 #: list-valued parameters previously hashed by ``repr`` insertion order),
 #: so every key of a parameterised configuration potentially changed.
-CACHE_FORMAT_VERSION = 7
+#: Version 8: ``lut_synth=exact`` covers come from an exhaustive optimal
+#: table instead of a wall-clock-budgeted SAT search; old entries may hold
+#: a budget-exhausted or early-stopped descent's cover, T-dearer than the
+#: optimum the same configuration now yields.
+CACHE_FORMAT_VERSION = 8
 
 
 def _canonical_value(value: Any) -> Any:

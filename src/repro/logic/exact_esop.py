@@ -1,333 +1,123 @@
-"""Exact (minimum-cube) ESOP synthesis for small functions via SAT.
+"""Exact (T-cost-optimal) ESOP covers of small functions from one table.
 
 PSDKRO extraction (:func:`repro.logic.esop.psdkro_cubes`) is fast but only
 heuristically small.  For the ≤4-input functions the LUT flows actually
-synthesise, the minimum-cube ESOP problem is tiny enough to solve exactly:
-"is there an ESOP of ``m`` mixed-polarity cubes equal to this truth
-table?" becomes a CNF over per-cube literal-selector variables, and
-iterative deepening on ``m`` finds the optimum.
+synthesise, every optimal cover can be tabulated outright: there are only
+``3^n`` mixed-polarity cubes over ``n`` inputs and ``2^(2^n)`` functions.
 
-Encoding, for a candidate cover of ``m`` cubes over ``n`` inputs:
+Each cube becomes one Toffoli, so it carries the lexicographic weight
+``(rtof T-count, 1 cube, literal count)``, packed into one integer.  A
+dynamic program over cube-count layers then tabulates ``D[m][f]``, the
+cheapest cover of ``f`` with at most ``m`` cubes::
 
-* selector variables ``pos[j][x]`` / ``neg[j][x]`` — cube ``j`` contains
-  the positive / negative literal of input ``x`` (not both),
-* match variables ``t[j][a]`` for every input assignment ``a`` —
-  ``t[j][a]`` holds iff cube ``j`` evaluates to 1 under ``a``, which is
-  exactly "no selected literal of cube ``j`` disagrees with ``a``",
-* a parity chain per assignment ties ``XOR_j t[j][a]`` to the truth-table
-  bit of ``a``.
+    D[0][0] = 0,  D[0][f] = inf  (f != 0)
+    D[m][f] = min(D[m-1][f], min_c D[m-1][f ^ c] + w(c))
 
-Minimising cubes alone can *raise* the T-count: a single 4-control
-Toffoli (23 T under the ``rtof`` model) is dearer than the two 2-control
-ones (14 T) it may replace.  So after deepening finds the minimum cube
-count, a descent pass minimises the ``rtof`` T-cost of the cover across
-every cube count up to the PSDKRO's — the per-cube cost is linearised
-through unary "at least ``i`` literals" threshold variables weighted by
-the model's marginal costs — and a final pass shaves leftover literals at
-unchanged T-cost.  Every SAT call carries the remaining share of a
-per-function time budget; on ``"unknown"`` the engine degrades to the
-PSDKRO cover, so the result is never larger and never T-dearer than the
-heuristic one.
+Repeating a cube only adds its weight twice for no change in ``f``, so the
+minimum is always reached by distinct cubes.  Layers are added until one
+equals the one before (6 of them for ``n = 4``); after that the table
+cannot change.
 
-Results are memoised by ``(num_vars, truth)`` — LUT flows resynthesise the
-same small functions constantly — and the memo exposes hit/miss counters
-so the cache path stays testable.
+A query caps the cube count at the PSDKRO cover's, ``m = min(len(psdkro),
+top layer)``, and walks back from ``D[m][f]`` by taking the lowest-index
+cube ``c`` with ``D[m-1][f ^ c] + w(c) == D[m][f]``.  The PSDKRO cover is
+one of the covers the capped layer minimises over, so the result is never
+larger and never T-dearer than the heuristic block it replaces, and it is
+the same on every host.
+
+The table of an arity is built on the first query of that arity, never at
+import; for ``n = 4`` it takes a fraction of a second and about 2 MB.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import List, Tuple
+
+import numpy as np
 
 from repro.logic.cube import Cube
 from repro.logic.esop import psdkro_cubes
 from repro.logic.truth_table import tt_mask
 from repro.quantum.tcount import mct_t_count
-from repro.sat import Cnf, solve
+from repro.sat import solve  # noqa: F401  (read only by perfbench/spans.py)
 
-__all__ = [
-    "DEFAULT_TIME_BUDGET",
-    "MAX_EXACT_VARS",
-    "exact_esop_cubes",
-    "exact_esop_stats",
-    "reset_exact_esop_memo",
-]
+__all__ = ["MAX_EXACT_VARS", "exact_esop_cubes"]
 
-#: Functions with more inputs than this always use the PSDKRO fallback —
-#: the encoding grows with ``2^n`` match variables per cube.
+#: Functions with more inputs than this always use the PSDKRO cover — the
+#: table holds ``2^(2^n)`` entries per layer.
 MAX_EXACT_VARS = 4
 
-#: Wall-clock seconds granted to one truth table (all deepening and
-#: refinement calls together).
-DEFAULT_TIME_BUDGET = 5.0
-
-#: Conflict cap per T-cost-descent call: proving a cover cost-optimal can
-#: dwarf finding it (improvements surface within a few hundred conflicts,
-#: final refutations take thousands), and an interrupted proof just keeps
-#: the best cover found so far (still never dearer than PSDKRO).
-_DESCENT_CONFLICT_BUDGET = 1200
-
-#: The cost descent searches covers of up to ``min_cubes + slack`` cubes:
-#: cheaper-but-larger covers sit close to the minimum in practice, and
-#: every extra slot inflates the encoding for all descent calls.
-_DESCENT_SLOT_SLACK = 3
-
-_memo: Dict[Tuple[int, int], List[Cube]] = {}
-_stats = {"hits": 0, "misses": 0, "optimal": 0, "fallbacks": 0}
+#: Cost of a function no cover within the layer's cube count reaches;
+#: larger than every finite cover cost, with headroom for one more cube.
+_UNREACHABLE = np.int32(1 << 30)
 
 
-def exact_esop_stats() -> Dict[str, int]:
-    """A snapshot of the memo/solver counters (for tests and reports)."""
-    return dict(_stats)
-
-
-def reset_exact_esop_memo() -> None:
-    """Clear the memo and zero the counters (test isolation)."""
-    _memo.clear()
-    for key in _stats:
-        _stats[key] = 0
-
-
-def _build_cover_cnf(
-    truth: int, num_vars: int, num_cubes: int, activation: bool = False
-) -> Tuple[Cnf, List[List[Tuple[int, int]]], Optional[List[int]]]:
-    """CNF asserting "some ``num_cubes``-cube ESOP equals ``truth``".
-
-    Returns the formula, per-cube ``(pos, neg)`` selector variable pairs
-    per input (enough to read a cover back out of a model), and — with
-    ``activation=True`` — one activation variable per cube slot.  An
-    inactive slot contributes nothing: its selectors are forced off and it
-    matches no assignment, so one encoding over ``num_cubes`` slots covers
-    every cube count up to ``num_cubes`` at once (slots are packed to the
-    front to break the slot-permutation symmetry).
-    """
-    cnf = Cnf()
-    selectors: List[List[Tuple[int, int]]] = []
-    active: Optional[List[int]] = [] if activation else None
-    for _ in range(num_cubes):
-        if activation:
-            active.append(cnf.new_var())
-        cube_selectors = []
-        for _ in range(num_vars):
-            pos, neg = cnf.new_var(), cnf.new_var()
-            cnf.add_clause([-pos, -neg])
-            if activation:
-                cnf.add_clause([-pos, active[-1]])
-                cnf.add_clause([-neg, active[-1]])
-            cube_selectors.append((pos, neg))
-        selectors.append(cube_selectors)
-    if activation:
-        for gap, packed in zip(active[1:], active):
-            cnf.add_clause([-gap, packed])
-
-    for assignment in range(1 << num_vars):
-        bit = (truth >> assignment) & 1
-        parity_head: Optional[int] = None
-        for j in range(num_cubes):
-            match = cnf.new_var()
-            # A selected literal disagreeing with the assignment blocks
-            # the match; with no blocker the (active) cube covers the
-            # assignment.
-            blockers = []
-            for x, (pos, neg) in enumerate(selectors[j]):
-                blocker = neg if (assignment >> x) & 1 else pos
-                blockers.append(blocker)
-                cnf.add_clause([-match, -blocker])
-            if activation:
-                cnf.add_clause([-match, active[j]])
-                cnf.add_clause([match, -active[j]] + blockers)
-            else:
-                cnf.add_clause([match] + blockers)
-            if parity_head is None:
-                parity_head = match
-            else:
-                chained = cnf.new_var()
-                cnf.xor_link(chained, parity_head, match)
-                parity_head = chained
-        if parity_head is None:  # num_cubes == 0: covers only truth == 0
-            if bit:
-                cnf.add_clause([])
-        else:
-            cnf.add_clause([parity_head if bit else -parity_head])
-    return cnf, selectors, active
-
-
-def _cover_from_model(
-    model, selectors, num_vars: int, active: Optional[List[int]] = None
-) -> List[Cube]:
-    cubes = []
-    for j, cube_selectors in enumerate(selectors):
-        if active is not None and not model[active[j]]:
-            continue
-        literals = []
-        for x, (pos, neg) in enumerate(cube_selectors):
-            if model[pos]:
-                literals.append((x, True))
-            elif model[neg]:
-                literals.append((x, False))
-        cubes.append(Cube.from_literals(num_vars, literals))
-    return cubes
-
-
-def _cover_truth(cubes: List[Cube]) -> int:
-    truth = 0
-    for cube in cubes:
-        truth ^= cube.truth_table()
-    return truth
-
-
-def _total_literals(cubes: List[Cube]) -> int:
-    return sum(cube.num_literals() for cube in cubes)
-
-
-def _cover_cost(cubes: List[Cube]) -> int:
-    """The ``rtof`` T-cost of one Toffoli per cube."""
-    return sum(mct_t_count(cube.num_literals()) for cube in cubes)
-
-
-def _cost_literals(
-    cnf: Cnf, selectors: List[List[Tuple[int, int]]]
-) -> List[int]:
-    """Weighted literals whose count equals the cover's ``rtof`` T-cost.
-
-    Per cube: an indicator per input ("some literal of this input is
-    selected") and one threshold variable per control count ``i >= 2``
-    ("the cube has at least ``i`` literals"), forced true by every
-    ``i``-subset of indicators.  Repeating each threshold by the model's
-    marginal cost ``T(i) - T(i - 1)`` makes a plain cardinality bound over
-    the result a T-cost bound.
-    """
-    from itertools import combinations
-
-    weighted: List[int] = []
-    for cube_selectors in selectors:
-        used = []
-        for pos, neg in cube_selectors:
-            indicator = cnf.new_var()
-            cnf.add_clause([-pos, indicator])
-            cnf.add_clause([-neg, indicator])
-            used.append(indicator)
-        for count in range(2, len(used) + 1):
-            marginal = mct_t_count(count) - mct_t_count(count - 1)
-            if marginal == 0:
-                continue
-            threshold = cnf.new_var()
-            for subset in combinations(used, count):
-                cnf.add_clause([-u for u in subset] + [threshold])
-            weighted.extend([threshold] * marginal)
-    return weighted
-
-
-def exact_esop_cubes(
-    truth: int,
+@lru_cache(maxsize=None)
+def _cover_table(
     num_vars: int,
-    time_budget: float = DEFAULT_TIME_BUDGET,
-) -> List[Cube]:
-    """A T-cost-minimal ESOP cover of ``truth``, PSDKRO on fallback.
+) -> Tuple[List[Cube], np.ndarray, np.ndarray, List[np.ndarray]]:
+    """Cubes, their truth tables and weights, and the cost layers ``D``."""
+    cubes = []
+    for index in range(3 ** num_vars):
+        literals = []
+        for var in range(num_vars):
+            index, digit = divmod(index, 3)
+            if digit:
+                literals.append((var, digit == 2))
+        cubes.append(Cube.from_literals(num_vars, literals))
 
-    For functions of at most :data:`MAX_EXACT_VARS` inputs, iterative
-    deepening on the cube count finds the provably minimum count within
-    ``time_budget`` seconds; a descent pass then minimises the ``rtof``
-    T-cost of the cover over every cube count up to the PSDKRO's, and a
-    final pass shaves leftover literals at unchanged cost.  On budget
-    exhaustion (or more inputs) the PSDKRO cover is returned, so the
-    result is never larger — and, once solved, never T-dearer — than the
-    heuristic block it replaces.
+    # Mixed-radix packing of (T, cubes, literals): a cover holds at most
+    # 3^n distinct cubes of at most n literals each, so neither lower
+    # digit can carry into the one above it.
+    literal_radix = num_vars * len(cubes) + 1
+    cube_radix = (len(cubes) + 1) * literal_radix
+    weights = np.array(
+        [
+            mct_t_count(cube.num_literals()) * cube_radix
+            + literal_radix
+            + cube.num_literals()
+            for cube in cubes
+        ],
+        dtype=np.int32,
+    )
+    truths = np.array([cube.truth_table() for cube in cubes], dtype=np.int32)
+
+    functions = np.arange(1 << (1 << num_vars), dtype=np.int32)
+    layer = np.full(functions.size, _UNREACHABLE, dtype=np.int32)
+    layer[0] = 0
+    layers = [layer]
+    while True:
+        previous = layers[-1]
+        layer = previous.copy()
+        for truth, weight in zip(truths, weights):
+            np.minimum(layer, previous[functions ^ truth] + weight, out=layer)
+        if np.array_equal(layer, previous):
+            return cubes, truths, weights, layers
+        layers.append(layer)
+
+
+def exact_esop_cubes(truth: int, num_vars: int) -> List[Cube]:
+    """A T-cost-optimal ESOP cover of ``truth``, never larger than PSDKRO.
+
+    For functions of at most :data:`MAX_EXACT_VARS` inputs the cover
+    minimises ``(rtof T-count, cube count, literal count)`` over every
+    cover with at most as many cubes as the PSDKRO one; wider functions
+    get the PSDKRO cover itself.
     """
-    import time
-
     truth &= tt_mask(num_vars)
-    key = (num_vars, truth)
-    cached = _memo.get(key)
-    if cached is not None:
-        _stats["hits"] += 1
-        return list(cached)
-    _stats["misses"] += 1
-
     baseline = psdkro_cubes(truth, num_vars)
-    if num_vars > MAX_EXACT_VARS or truth == 0:
-        _memo[key] = list(baseline)
+    if num_vars > MAX_EXACT_VARS:
         return list(baseline)
 
-    deadline = time.monotonic() + time_budget
-    best: Optional[List[Cube]] = None
-    complete = True
-
-    # Deepen on the cube count; PSDKRO is an upper bound, so only strictly
-    # smaller covers are worth solving for.
-    for num_cubes in range(1, len(baseline)):
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            complete = False
-            break
-        cnf, selectors, _ = _build_cover_cnf(truth, num_vars, num_cubes)
-        result = solve(cnf, time_budget=remaining)
-        if result.status == "sat":
-            best = _cover_from_model(result.model, selectors, num_vars)
-            break
-        if result.status == "unknown":
-            complete = False
-            break
-
-    if best is None:
-        if not complete:
-            # The budget ran dry before any smaller cover was found or
-            # refuted; the heuristic cover is all we can promise.
-            _stats["fallbacks"] += 1
-            _memo[key] = list(baseline)
-            return list(baseline)
-        # PSDKRO is provably cube-optimal; the cost descent below may
-        # still swap cubes for cheaper ones at the same count.
-        best = list(baseline)
-
-    # T-cost descent: the minimum-cube cover can be T-dearer than a larger
-    # one (fewer Toffolis, but more controls each), so descend on the
-    # ``rtof`` cost over one activation-gated encoding that spans every
-    # cube count the baseline permits.
-    min_cubes = len(best)
-    if (_cover_cost(baseline), len(baseline)) < (_cover_cost(best), len(best)):
-        best = list(baseline)
-    best_cost = _cover_cost(best)
-    slots = min(len(baseline), min_cubes + _DESCENT_SLOT_SLACK)
-
-    def descend(cost_bound, cube_bound):
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return None
-        cnf, selectors, active = _build_cover_cnf(
-            truth, num_vars, slots, activation=True
-        )
-        cnf.at_most_k(active, cube_bound)
-        cnf.at_most_k(_cost_literals(cnf, selectors), cost_bound)
-        result = solve(
-            cnf,
-            time_budget=remaining,
-            conflict_budget=_DESCENT_CONFLICT_BUDGET,
-        )
-        if result.status != "sat":
-            return None
-        return _cover_from_model(result.model, selectors, num_vars, active)
-
-    while best_cost > 0:
-        found = descend(best_cost - 1, slots)
-        if found is None:
-            break
-        best, best_cost = found, _cover_cost(found)
-
-    # Re-minimise the cube count at the optimal cost: a cost-free slot is
-    # an empty cube the descent has no reason to drop.  (No literal pass —
-    # the tiered cost already distinguishes every control count above one,
-    # so only free NOT/CNOT cubes could change.)
-    while len(best) > min_cubes:
-        found = descend(best_cost, len(best) - 1)
-        if found is None:
-            break
-        best = found
-
-    if _cover_truth(best) != truth:  # defensive: the cover must verify
-        _stats["fallbacks"] += 1
-        _memo[key] = list(baseline)
-        return list(baseline)
-
-    _stats["optimal"] += 1
-    _memo[key] = list(best)
-    return list(best)
+    cubes, truths, weights, layers = _cover_table(num_vars)
+    budget = min(len(baseline), len(layers) - 1)
+    cover = []
+    while truth:
+        target = layers[budget][truth]
+        budget -= 1
+        candidates = layers[budget][truth ^ truths] + weights
+        chosen = int(np.argmax(candidates == target))
+        cover.append(cubes[chosen])
+        truth ^= int(truths[chosen])
+    return cover

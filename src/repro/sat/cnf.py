@@ -1,9 +1,9 @@
-"""CNF formula construction for the exact engines.
+"""CNF formula construction for the exact pebbler.
 
 A :class:`Cnf` is a growable clause database in the DIMACS convention
 (variables are positive integers, negation is arithmetic negation).  On top
-of raw clauses it provides the constraint encodings the exact engines lean
-on:
+of raw clauses it provides the constraint encodings the exact pebbler
+leans on:
 
 * :meth:`Cnf.at_most_one` / :meth:`Cnf.exactly_one` — pairwise for small
   literal lists, the Sinz sequential encoding beyond
@@ -11,8 +11,7 @@ on:
 * :meth:`Cnf.at_most_k` — the sequential counter cardinality encoding
   (Sinz 2005), the pebble-budget constraint of the exact pebbler,
 * :meth:`Cnf.xor_link` — a fresh/given variable constrained to the XOR of
-  two literals, the parity-chain primitive of the exact ESOP encoder and
-  of the pebble-move/state link.
+  two literals, the pebble-move/state link.
 
 Clauses are normalised on entry: duplicate literals collapse and
 tautological clauses (containing ``l`` and ``-l``) are dropped.  Adding an

@@ -17,10 +17,10 @@ pure Python:
 
 Calls are budgeted: :func:`solve` accepts a wall-clock and/or a conflict
 budget and returns status ``"unknown"`` when either is exhausted, so the
-exact engines built on top (:mod:`repro.reversible.exact_pebbling`,
-:mod:`repro.logic.exact_esop`) can fall back to their heuristic answers
-instead of stalling a flow.  Assumptions (a partial assignment to solve
-under) are supported the MiniSat way, as forced first decisions.
+exact pebbler built on top (:mod:`repro.reversible.exact_pebbling`) can
+fall back to its heuristic answer instead of stalling a flow.  Assumptions
+(a partial assignment to solve under) are supported the MiniSat way, as
+forced first decisions.
 """
 
 from __future__ import annotations

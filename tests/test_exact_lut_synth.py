@@ -1,30 +1,29 @@
-"""Tests for exact small-LUT synthesis (SAT-minimum ESOP covers).
+"""Tests for exact small-LUT synthesis (table-optimal ESOP covers).
 
-:func:`exact_esop_cubes` promises two things the suite asserts over a
-seeded sample of 4-input functions: the cover computes exactly the
-requested truth table (XOR of the cube truth tables), and it is never
-larger than the PSDKRO cover it replaces — the engine's fallback *is* the
-PSDKRO cover, so "never larger" must hold on every path, including budget
-exhaustion and functions wider than the exact limit.
+:func:`exact_esop_cubes` promises three things the suite asserts: the
+cover computes exactly the requested truth table (XOR of the cube truth
+tables); it is never larger and never T-dearer than the PSDKRO cover it
+replaces; and, among all covers with at most the PSDKRO cube count, it
+minimises ``(rtof T-count, cube count, literal count)``.  The first two
+are checked over all 65,536 4-input functions, the optimum against a
+brute-force subset enumeration for every 1- to 3-input function.
 
-The memo is regression-tested through its hit/miss counters, and the
-``lut_synth="exact"`` sub-synthesizer is checked end to end: block-level
-circuits stay equivalent to the source AIG while never using more gates
-than the ``"esop"`` blocks.
+The ``lut_synth="exact"`` sub-synthesizer is checked end to end:
+block-level circuits stay equivalent to the source AIG while never using
+more gates than the ``"esop"`` blocks, and the INTDIV flow costs are
+pinned.
 """
 
 import random
+from itertools import combinations, product
 
 import pytest
 
+from repro.logic.cube import Cube
 from repro.logic.esop import psdkro_cubes
-from repro.logic.exact_esop import (
-    MAX_EXACT_VARS,
-    exact_esop_cubes,
-    exact_esop_stats,
-    reset_exact_esop_memo,
-)
+from repro.logic.exact_esop import MAX_EXACT_VARS, exact_esop_cubes
 from repro.logic.truth_table import tt_mask
+from repro.quantum.tcount import mct_t_count
 from repro.reversible.lut_synth import synthesize_schedule
 from repro.reversible.pebbling import bennett_schedule
 from repro.logic.cuts import lut_map
@@ -45,13 +44,23 @@ def cover_truth(cubes):
     return truth
 
 
-@pytest.fixture
-def fresh_memo():
-    """Counter tests need a clean memo; property tests share it (the
-    covers are deterministic, so cross-test reuse only saves solver time)."""
-    reset_exact_esop_memo()
-    yield
-    reset_exact_esop_memo()
+def cover_cost(cubes):
+    """The lexicographic cost the table minimises."""
+    return (
+        sum(mct_t_count(cube.num_literals()) for cube in cubes),
+        len(cubes),
+        sum(cube.num_literals() for cube in cubes),
+    )
+
+
+def all_cubes(num_vars):
+    return [
+        Cube.from_literals(
+            num_vars,
+            [(var, digit == 2) for var, digit in enumerate(digits) if digit],
+        )
+        for digits in product(range(3), repeat=num_vars)
+    ]
 
 
 class TestExactCoverProperties:
@@ -78,53 +87,61 @@ class TestExactCoverProperties:
         assert len(exact_esop_cubes(0x8000, 4)) == 1
         assert exact_esop_cubes(0, 4) == []
 
-    def test_literal_refinement_never_regresses_the_cube_count(self):
+    def test_repeated_calls_return_identical_fresh_covers(self):
         for seed in SEEDS:
             truth = sample_truth(seed)
-            exact = exact_esop_cubes(truth, 4)
-            # Re-solving the same function must reproduce the memoized
-            # optimum, not re-run the solver.
-            assert exact_esop_cubes(truth, 4) == exact
+            first = exact_esop_cubes(truth, 4)
+            first.append(None)  # corrupting the returned list ...
+            second = exact_esop_cubes(truth, 4)
+            assert None not in second  # ... must not leak into later calls
+            assert first[:-1] == second, f"seed {seed}"
 
     def test_wide_functions_fall_back_to_psdkro(self):
         truth = sample_truth(3, num_vars=MAX_EXACT_VARS + 1)
         cubes = exact_esop_cubes(truth, MAX_EXACT_VARS + 1)
         assert cubes == psdkro_cubes(truth, MAX_EXACT_VARS + 1)
 
-    def test_exhausted_budget_falls_back_to_psdkro(self, fresh_memo):
-        truth = sample_truth(7)
-        cubes = exact_esop_cubes(truth, 4, time_budget=0.0)
-        assert cubes == psdkro_cubes(truth, 4)
-        assert exact_esop_stats()["fallbacks"] == 1
-
-
-class TestMemoBehaviour:
-    def test_hit_and_miss_counters(self, fresh_memo):
-        truth = sample_truth(0)
-        assert exact_esop_stats() == {
-            "hits": 0, "misses": 0, "optimal": 0, "fallbacks": 0
+    def test_every_4_input_cover_is_correct_and_no_worse_than_psdkro(self):
+        truth_of = {
+            (cube.care, cube.polarity): cube.truth_table()
+            for cube in all_cubes(4)
         }
-        first = exact_esop_cubes(truth, 4)
-        stats = exact_esop_stats()
-        assert stats["misses"] == 1 and stats["hits"] == 0
-        second = exact_esop_cubes(truth, 4)
-        stats = exact_esop_stats()
-        assert stats["misses"] == 1 and stats["hits"] == 1
-        assert first == second
+        failures = []
+        for truth in range(1 << 16):
+            exact = exact_esop_cubes(truth, 4)
+            heuristic = psdkro_cubes(truth, 4)
+            computed = 0
+            for cube in exact:
+                computed ^= truth_of[cube.care, cube.polarity]
+            if (
+                computed != truth
+                or len(exact) > len(heuristic)
+                or cover_cost(exact)[0] > cover_cost(heuristic)[0]
+            ):
+                failures.append(truth)
+        assert failures == []
 
-    def test_memoized_result_is_a_copy(self, fresh_memo):
-        truth = sample_truth(1)
-        first = exact_esop_cubes(truth, 4)
-        first.append(None)  # corrupting the returned list ...
-        second = exact_esop_cubes(truth, 4)
-        assert None not in second  # ... must not corrupt the memo
-
-    def test_reset_clears_both_memo_and_counters(self, fresh_memo):
-        exact_esop_cubes(sample_truth(2), 4)
-        reset_exact_esop_memo()
-        assert exact_esop_stats() == {
-            "hits": 0, "misses": 0, "optimal": 0, "fallbacks": 0
-        }
+    @pytest.mark.parametrize("num_vars", [1, 2, 3])
+    def test_cover_is_optimal_against_brute_force(self, num_vars):
+        # Cheapest cover of every function within each exact cube count,
+        # by enumerating every subset of the 3^n cubes up to the largest
+        # PSDKRO count of the arity.
+        cubes = all_cubes(num_vars)
+        functions = range(1 << (1 << num_vars))
+        bounds = {truth: len(psdkro_cubes(truth, num_vars)) for truth in functions}
+        best = {}
+        for size in range(max(bounds.values()) + 1):
+            for subset in combinations(cubes, size):
+                truth = cover_truth(subset)
+                if size > bounds[truth]:
+                    continue
+                cost = cover_cost(subset)
+                if truth not in best or cost < best[truth]:
+                    best[truth] = cost
+        for truth in functions:
+            exact = exact_esop_cubes(truth, num_vars)
+            assert cover_truth(exact) == truth
+            assert cover_cost(exact) == best[truth], f"truth {truth:#x}"
 
 
 class TestExactBlocks:
@@ -157,3 +174,18 @@ class TestExactBlocks:
         assert exact.report.verified
         assert exact.report.t_count <= esop.report.t_count
         assert exact.report.qubits == esop.report.qubits
+
+    # (qubits, T-count) of lut/bennett/lut_synth=exact, as first measured
+    # with the former SAT engine: the table reaches the same optima.
+    @pytest.mark.parametrize(
+        "bitwidth, qubits, t_count", [(4, 12, 268), (6, 87, 3152)]
+    )
+    def test_intdiv_costs_are_pinned(self, bitwidth, qubits, t_count):
+        from repro.core.flows import run_flow
+
+        result = run_flow(
+            "lut", "intdiv", bitwidth, verify="full",
+            strategy="bennett", lut_synth="exact",
+        )
+        assert result.report.verified
+        assert (result.report.qubits, result.report.t_count) == (qubits, t_count)

@@ -5,7 +5,7 @@ The two hot kernels of the symbolic (BDD-based) flow were vectorised:
 * BDD-to-truth-table expansion
   (:meth:`repro.logic.bdd.BddManager.to_truth_tables`) replaces the
   per-assignment recursive walk with one memoised bottom-up sweep shared
-  across all roots (packed NumPy words on wide functions), and
+  across all roots (big-int tables at every width), and
 * transformation-based synthesis
   (:func:`repro.reversible.tbs.synthesize_permutation_gates`) replaces the
   per-row ``np.nonzero(perm == row)`` scans and full-table gate

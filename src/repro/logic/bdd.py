@@ -17,9 +17,8 @@ The walks on the synthesis hot path are iterative: :meth:`BddManager._apply`,
 :meth:`~BddManager.satcount` run on explicit worklists rather than Python
 recursion.  Truth-table expansion is a single memoised bottom-up sweep over
 the reachable nodes (``table(node) = (~var_tt & table(low)) | (var_tt &
-table(high))``), shared across all requested roots
-(:meth:`~BddManager.to_truth_tables`); wide instances run the sweep
-level-batched over packed NumPy ``uint64`` words.  The original recursive /
+table(high))``) on big-int tables, shared across all requested roots
+(:meth:`~BddManager.to_truth_tables`).  The original recursive /
 per-assignment implementations remain as ``*_reference`` oracles, pinned
 against the production paths by the property suite and
 ``benchmarks/bench_symbolic_kernels.py``.
@@ -29,37 +28,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
+from repro.logic.truth_table import tt_var
 
 __all__ = ["BddManager"]
-
-#: Number of variables from which the truth-table sweep switches from
-#: big-int node tables to the level-batched NumPy word matrix.  Below the
-#: threshold one CPython big-int op per node beats the fixed per-level
-#: NumPy dispatch overhead (same trade-off as the PSDKRO word path).
-_WORD_SWEEP_MIN_VARS = 10
-
-#: Soft bound on the word-matrix bytes of one sweep chunk; wider truth
-#: tables are expanded in independent word-column blocks (bitwise ops never
-#: mix words, so column blocks are embarrassingly separable).
-_SWEEP_BYTES_LIMIT = 1 << 26
-
-
-def _projection_table(var: int, num_vars: int) -> int:
-    """Truth table (as a big int over ``2**num_vars`` bits) of variable ``var``.
-
-    Built by doubling instead of the linear block loop of
-    :func:`repro.logic.truth_table.tt_var`, so it stays cheap for the wide
-    tables the BDD sweep handles.
-    """
-    block = 1 << var
-    pattern = ((1 << block) - 1) << block  # one 0-run then one 1-run
-    span = block * 2
-    total = 1 << num_vars
-    while span < total:
-        pattern |= pattern << span
-        span *= 2
-    return pattern
 
 
 class BddManager:
@@ -645,11 +616,9 @@ class BddManager:
         ``table(node) = (~var_tt & table(low)) | (var_tt & table(high))``.
         Children always test later variables than their parents, so walking
         the reachable nodes by decreasing variable index resolves every
-        child before its parents.  Narrow instances combine big ints (one
-        C-level op per node); from :data:`_WORD_SWEEP_MIN_VARS` variables
-        the sweep runs level-batched over a NumPy ``uint64`` word matrix,
-        chunked into independent word-column blocks.  The per-assignment
-        oracle survives as :meth:`to_truth_table_reference`.
+        child before its parents.  Tables are big ints at every width: one
+        C-level, word-parallel op per node.  The per-assignment oracle
+        survives as :meth:`to_truth_table_reference`.
         """
         roots = list(roots)
         seen: set = set()
@@ -663,26 +632,17 @@ class BddManager:
             reachable.append(node)
             stack.append(self._low[node])
             stack.append(self._high[node])
-        num_vars = self.num_vars
-        full = (1 << (1 << num_vars)) - 1
-        if not reachable:
-            return [full if r == self.TRUE else 0 for r in roots]
         # Decreasing variable index = children-first evaluation order.
         reachable.sort(key=lambda node: -self._var[node])
-        if num_vars >= _WORD_SWEEP_MIN_VARS:
-            tables = self._sweep_words(reachable, num_vars)
-        else:
-            tables = self._sweep_ints(reachable, num_vars, full)
-        tables[self.FALSE] = 0
-        tables[self.TRUE] = full
+        tables = self._sweep_ints(reachable)
         return [tables[r] for r in roots]
 
-    def _sweep_ints(
-        self, reachable: List[int], num_vars: int, full: int
-    ) -> Dict[int, int]:
-        """Bottom-up big-int sweep (narrow tables: one C op per node)."""
+    def _sweep_ints(self, reachable: List[int]) -> Dict[int, int]:
+        """Bottom-up big-int sweep over the children-first ``reachable``."""
         var_arr, low_arr, high_arr = self._var, self._low, self._high
-        proj = [_projection_table(v, num_vars) for v in range(num_vars)]
+        num_vars = self.num_vars
+        proj = [tt_var(v, num_vars) for v in range(num_vars)]
+        full = (1 << (1 << num_vars)) - 1
         tables: Dict[int, int] = {self.FALSE: 0, self.TRUE: full}
         for node in reachable:
             var_tt = proj[var_arr[node]]
@@ -690,75 +650,6 @@ class BddManager:
                 tables[high_arr[node]] & var_tt
             )
         return tables
-
-    def _sweep_words(self, reachable: List[int], num_vars: int) -> Dict[int, int]:
-        """Level-batched NumPy word sweep (wide tables).
-
-        Row ``i`` of the value matrix holds node ``reachable[i]``'s table as
-        packed little-endian ``uint64`` words; rows 0/1 are the terminals.
-        Every variable level is evaluated with three whole-matrix ops over
-        the gathered child rows.  Word columns are independent under
-        bitwise ops, so wide tables are processed in column blocks bounded
-        by :data:`_SWEEP_BYTES_LIMIT`.
-        """
-        var_arr, low_arr, high_arr = self._var, self._low, self._high
-        num_rows = len(reachable) + 2
-        row_of = {self.FALSE: 0, self.TRUE: 1}
-        for i, node in enumerate(reachable):
-            row_of[node] = i + 2
-        # Per-variable slices of the (variable-sorted) reachable list and
-        # their gathered child rows.
-        levels: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        start = 0
-        while start < len(reachable):
-            var = var_arr[reachable[start]]
-            end = start
-            while end < len(reachable) and var_arr[reachable[end]] == var:
-                end += 1
-            batch = reachable[start:end]
-            rows = np.arange(start + 2, end + 2, dtype=np.int64)
-            low_rows = np.fromiter(
-                (row_of[low_arr[n]] for n in batch), np.int64, len(batch)
-            )
-            high_rows = np.fromiter(
-                (row_of[high_arr[n]] for n in batch), np.int64, len(batch)
-            )
-            levels.append((var, rows, low_rows, high_rows))
-            start = end
-        total_words = 1 << (num_vars - 6)
-        chunk_words = max(1, _SWEEP_BYTES_LIMIT // (num_rows * 8))
-        collected = [np.empty(0, dtype="<u8")] * num_rows
-        for word_start in range(0, total_words, chunk_words):
-            width = min(chunk_words, total_words - word_start)
-            value = np.zeros((num_rows, width), dtype="<u8")
-            value[1] = ~np.uint64(0)
-            # ``levels`` is ordered by decreasing variable, i.e. children
-            # first — exactly the evaluation order the sweep needs.
-            for var, rows, low_rows, high_rows in levels:
-                var_words = self._projection_words(var, word_start, width)
-                value[rows] = (value[low_rows] & ~var_words) | (
-                    value[high_rows] & var_words
-                )
-            if word_start == 0 and width == total_words:
-                collected = list(value)
-                break
-            for i in range(num_rows):
-                collected[i] = np.concatenate((collected[i], value[i]))
-        tables: Dict[int, int] = {}
-        for node, row in row_of.items():
-            tables[node] = int.from_bytes(collected[row].tobytes(), "little")
-        return tables
-
-    @staticmethod
-    def _projection_words(var: int, word_start: int, width: int) -> np.ndarray:
-        """Words ``[word_start, word_start + width)`` of variable ``var``'s table."""
-        if var < 6:
-            return np.full(width, np.uint64(_projection_table(var, 6)), dtype="<u8")
-        # Whole words alternate in runs of 2**(var - 6): a word is all-ones
-        # exactly when bit (var - 6) of its word index is set.
-        indices = np.arange(word_start, word_start + width, dtype=np.uint64)
-        ones = (indices >> np.uint64(var - 6)) & np.uint64(1)
-        return (~np.uint64(0)) * ones
 
     def to_truth_table_reference(self, f: int) -> int:
         """Per-assignment expansion — the oracle for the shared sweep."""

@@ -7,8 +7,8 @@ The paper obtains multi-output ESOPs by collapsing an AIG with ABC's
   of outputs it feeds),
 * :func:`esop_from_truth_table` — PSDKRO extraction (recursive
   Shannon/positive-Davio/negative-Davio expansion choosing the cheapest
-  decomposition per variable), the standard way to obtain a good initial
-  ESOP from an explicit function,
+  decomposition per variable) on big-int truth tables, the standard way to
+  obtain a good initial ESOP from an explicit function,
 * :func:`minimize_esop` — an exorcism-style cube-pair minimisation that
   cancels duplicate cubes and merges distance-1 pairs, iterated to a fixed
   point.
@@ -20,7 +20,7 @@ These covers are the input of the ESOP-based reversible synthesis back-end
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.logic.cube import Cube
 from repro.logic.truth_table import (
@@ -29,7 +29,6 @@ from repro.logic.truth_table import (
     tt_cofactor1,
     tt_mask,
     tt_support,
-    tt_to_words,
     tt_var,
 )
 
@@ -281,106 +280,9 @@ class _FastPsdkroExtractor:
         return result
 
 
-class _WordPsdkroExtractor:
-    """PSDKRO extraction on packed uint64 word arrays (wide functions).
-
-    Functions of many variables make every big-int cofactor an
-    arbitrary-precision multi-word operation in the interpreter; this
-    variant keeps the table as a numpy word array (see
-    :func:`~repro.logic.truth_table.tt_to_words`) so cofactors and the
-    support scan run word-parallel in C.  The recursion, decomposition
-    choices and memo structure mirror :class:`_FastPsdkroExtractor`
-    (memo keys are the raw little-endian bytes of the table).
-    """
-
-    MEMO_LIMIT = _FastPsdkroExtractor.MEMO_LIMIT
-
-    def __init__(self, num_vars: int):
-        import numpy as np
-
-        self.num_vars = num_vars
-        self._np = np
-        if num_vars <= 6:
-            raise ValueError("word-array PSDKRO requires more than 6 variables")
-        self.in_word_masks = [np.uint64(tt_var(v, 6)) for v in range(6)]
-        # blocks[v] = number of words per cofactor block of variable v >= 6.
-        self.blocks = [0] * 6 + [1 << (v - 6) for v in range(6, num_vars)]
-        self.num_words = 1 << (num_vars - 6)
-        self._cache: Dict[bytes, List[Cube]] = {}
-
-    def clear(self) -> None:
-        self._cache.clear()
-
-    def extract(self, func: int) -> List[Cube]:
-        return self._expand(tt_to_words(func, self.num_vars))
-
-    def _expand(self, words) -> List[Cube]:
-        np = self._np
-        cache = self._cache
-        key = words.tobytes()
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-
-        if not words.any():
-            result: List[Cube] = []
-        else:
-            var = -1
-            f0 = f1 = None
-            for v in range(self.num_vars):
-                if v < 6:
-                    high_mask = self.in_word_masks[v]
-                    shift = np.uint64(1 << v)
-                    high = words & high_mask
-                    low = words & ~high_mask
-                    f1 = high | (high >> shift)
-                    f0 = low | (low << shift)
-                else:
-                    paired = words.reshape(-1, 2, self.blocks[v])
-                    f0 = np.repeat(paired[:, 0:1], 2, axis=1).reshape(-1)
-                    f1 = np.repeat(paired[:, 1:2], 2, axis=1).reshape(-1)
-                if not np.array_equal(f0, f1):
-                    var = v
-                    break
-            if var < 0:
-                result = [Cube.tautology(self.num_vars)]
-            else:
-                f2 = f0 ^ f1
-                cover0 = self._expand(f0)
-                cover1 = self._expand(f1)
-                cover2 = self._expand(f2)
-                n0, n1 = len(cover0), len(cover1)
-                if n0 <= n1:
-                    best_cost, free, gated, positive = (
-                        n0 + len(cover2), cover0, cover2, True
-                    )
-                else:
-                    best_cost, free, gated, positive = (
-                        n1 + len(cover2), cover1, cover2, False
-                    )
-                if n0 + n1 < best_cost:
-                    result = [cube.with_literal(var, False) for cube in cover0]
-                    result += [cube.with_literal(var, True) for cube in cover1]
-                else:
-                    result = list(free)
-                    result += [cube.with_literal(var, positive) for cube in gated]
-        if len(cache) >= self.MEMO_LIMIT:
-            cache.clear()
-        cache[key] = result
-        return result
-
-
-#: Variable count at which :func:`psdkro_cubes` switches from the plain-int
-#: extractor to the packed-word-array one.  Measured on random functions,
-#: the tuned big-int path is still ~5x faster at 12 variables (CPython
-#: big-int bitops already run word-parallel in C, while sub-microsecond
-#: numpy calls on small arrays are dispatch-bound), so the word path only
-#: takes over for very wide tables where each table is tens of kilobytes.
-_WORD_PATH_MIN_VARS = 16
-
 #: Shared extractor registry: one memoised extractor per variable count,
 #: reused across calls so repeated LUT functions are extracted once.
-_EXTRACTORS: Dict[int, Any] = {}
+_EXTRACTORS: Dict[int, _FastPsdkroExtractor] = {}
 
 
 def psdkro_clear_cache() -> None:
@@ -396,19 +298,13 @@ def psdkro_cubes(truth: int, num_vars: int) -> List[Cube]:
     pebbling scheduler's gate-count estimate counts exactly these cubes, so
     both must come from the one extractor.
 
-    Extraction runs on the memoised fast path (plain integers up to
-    ``_WORD_PATH_MIN_VARS - 1`` variables, packed uint64 word arrays
-    beyond); both produce covers identical to
-    :func:`psdkro_cubes_reference`, the original big-int recursion kept as
-    the oracle the property tests pin the fast paths against.
+    Extraction runs on the memoised big-int extractor at every width and
+    returns covers identical to :func:`psdkro_cubes_reference`, the original
+    recursion kept as the oracle the property tests pin it against.
     """
     extractor = _EXTRACTORS.get(num_vars)
     if extractor is None:
-        if num_vars >= _WORD_PATH_MIN_VARS:
-            extractor = _WordPsdkroExtractor(num_vars)
-        else:
-            extractor = _FastPsdkroExtractor(num_vars)
-        _EXTRACTORS[num_vars] = extractor
+        extractor = _EXTRACTORS[num_vars] = _FastPsdkroExtractor(num_vars)
     return extractor.extract(truth & tt_mask(num_vars))
 
 

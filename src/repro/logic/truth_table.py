@@ -7,10 +7,10 @@ Two representations are used throughout the package:
   is output ``j`` evaluated on minterm ``x``).  This is the work-horse for
   embedding, equivalence checking and the functional synthesis flow.
 
-* plain Python integers as *single-output* truth tables for small functions
-  (bit ``i`` of the integer is the function value on minterm ``i``).  These
-  are used for cut functions, ISOP computation and XMG resynthesis; the
-  ``tt_*`` helpers below operate on them.
+* plain Python integers as *single-output* truth tables (bit ``i`` of the
+  integer is the function value on minterm ``i``).  These are used for cut
+  functions, ISOP computation, XMG resynthesis, PSDKRO extraction and BDD
+  expansion at every width; the ``tt_*`` helpers below operate on them.
 """
 
 from __future__ import annotations
@@ -36,12 +36,7 @@ __all__ = [
     "tt_support",
     "tt_popcount",
     "tt_num_words",
-    "tt_to_words",
-    "tt_from_words",
     "tt_var_words",
-    "tt_cofactor0_words",
-    "tt_cofactor1_words",
-    "tt_support_words",
 ]
 
 
@@ -71,11 +66,12 @@ def tt_var(index: int, num_vars: int) -> int:
         raise ValueError(f"variable index {index} out of range for {num_vars} vars")
     block = 1 << index
     pattern = ((1 << block) - 1) << block  # 'block' zeros then 'block' ones
-    period = block * 2
-    result = 0
-    for start in range(0, 1 << num_vars, period):
-        result |= pattern << start
-    return result
+    span = block * 2
+    total = 1 << num_vars
+    while span < total:  # double the pattern until it covers every minterm
+        pattern |= pattern << span
+        span *= 2
+    return pattern
 
 
 def tt_not(func: int, num_vars: int) -> int:
@@ -129,33 +125,17 @@ def tt_popcount(func: int) -> int:
 # ---------------------------------------------------------------------------
 # Single-output truth tables as packed uint64 word arrays
 #
-# Functions of more than ~8 variables make the big-int helpers above pay
-# for arbitrary-precision arithmetic on every cofactor; the ``*_words``
-# variants below hold the same truth table as a little-endian numpy uint64
-# array (word ``w`` covers minterms ``64*w .. 64*w + 63``) so cofactor and
-# support computation stay word-parallel.  The big-int helpers remain the
-# reference oracle; the property tests cross-check the two representations
-# on random functions.
+# Every single-output kernel (cofactors, PSDKRO, the BDD sweep) works on the
+# big-int tables above at every width: CPython's big-int bit operations
+# already run word-parallel in C.  The two helpers below exist only for the
+# batch cut simulation of :mod:`repro.logic.cuts`, whose k > 6 cut tables are
+# rows of a NumPy matrix of little-endian uint64 words (word ``w`` covers
+# minterms ``64*w .. 64*w + 63``).
 # ---------------------------------------------------------------------------
 
 def tt_num_words(num_vars: int) -> int:
     """Number of uint64 words of a packed ``num_vars``-variable table."""
     return 1 if num_vars <= 6 else 1 << (num_vars - 6)
-
-
-def tt_to_words(func: int, num_vars: int) -> np.ndarray:
-    """Pack an integer truth table into a little-endian uint64 word array."""
-    func &= tt_mask(num_vars)
-    num_words = tt_num_words(num_vars)
-    raw = func.to_bytes(8 * num_words, "little")
-    return np.frombuffer(raw, dtype="<u8").copy()
-
-
-def tt_from_words(words: np.ndarray, num_vars: int) -> int:
-    """Unpack a uint64 word array back into an integer truth table."""
-    value = int.from_bytes(np.ascontiguousarray(words, dtype="<u8").tobytes(),
-                           "little")
-    return value & tt_mask(num_vars)
 
 
 #: In-word projection patterns of variables 0..5 (variable ``v`` alternates
@@ -178,64 +158,6 @@ def tt_var_words(index: int, num_vars: int) -> np.ndarray:
     # Word w is all-ones exactly when bit (index - 6) of w is set.
     high = (np.arange(num_words, dtype=np.uint64) >> np.uint64(index - 6)) & np.uint64(1)
     return high * np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def tt_cofactor0_words(words: np.ndarray, var: int, num_vars: int) -> np.ndarray:
-    """Negative cofactor on a packed word array (still over ``num_vars`` vars)."""
-    if not 0 <= var < num_vars:
-        raise ValueError(f"variable index {var} out of range for {num_vars} vars")
-    words = np.asarray(words, dtype=np.uint64)
-    if var < 6:
-        high_mask = (_WORD_VAR_PATTERNS[var] if num_vars >= 6
-                     else np.uint64(tt_var(var, num_vars)))
-        low = words & ~high_mask
-        if num_vars < 6:
-            low &= np.uint64(tt_mask(num_vars))
-        return low | (low << np.uint64(1 << var))
-    block = 1 << (var - 6)
-    paired = words.reshape(-1, 2, block)
-    result = np.empty_like(paired)
-    result[:, 0] = paired[:, 0]
-    result[:, 1] = paired[:, 0]
-    return result.reshape(-1)
-
-
-def tt_cofactor1_words(words: np.ndarray, var: int, num_vars: int) -> np.ndarray:
-    """Positive cofactor on a packed word array (still over ``num_vars`` vars)."""
-    if not 0 <= var < num_vars:
-        raise ValueError(f"variable index {var} out of range for {num_vars} vars")
-    words = np.asarray(words, dtype=np.uint64)
-    if var < 6:
-        high_mask = (_WORD_VAR_PATTERNS[var] if num_vars >= 6
-                     else np.uint64(tt_var(var, num_vars)))
-        high = words & high_mask
-        return high | (high >> np.uint64(1 << var))
-    block = 1 << (var - 6)
-    paired = words.reshape(-1, 2, block)
-    result = np.empty_like(paired)
-    result[:, 0] = paired[:, 1]
-    result[:, 1] = paired[:, 1]
-    return result.reshape(-1)
-
-
-def tt_support_words(words: np.ndarray, num_vars: int) -> List[int]:
-    """Indices of variables a packed word-array table actually depends on."""
-    words = np.asarray(words, dtype=np.uint64)
-    support = []
-    for var in range(num_vars):
-        if var < 6:
-            high_mask = (_WORD_VAR_PATTERNS[var] if num_vars >= 6
-                         else np.uint64(tt_var(var, num_vars)))
-            shifted = (words >> np.uint64(1 << var)) ^ words
-            depends = bool(np.any(shifted & ~high_mask
-                                  & np.uint64(tt_mask(min(num_vars, 6)))))
-        else:
-            block = 1 << (var - 6)
-            paired = words.reshape(-1, 2, block)
-            depends = bool(np.any(paired[:, 0] != paired[:, 1]))
-        if depends:
-            support.append(var)
-    return support
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Property tests pinning the vectorised kernels to their big-int oracles.
 
-The cut truth-table kernel (:func:`repro.logic.cuts.cut_truth_tables`), the
-packed-word truth-table helpers (:mod:`repro.logic.truth_table`) and the
-fast PSDKRO extractor (:func:`repro.logic.esop.psdkro_cubes`) are rewrites
-of reference implementations that stay in the tree as oracles.  These tests
-cross-check the rewrites against the oracles on *random* inputs — random
-truth tables through the cofactor/support helpers, random AIG/XMG cones
-through the cut kernel, and XOR-of-cubes reconstruction for PSDKRO — so the
-kernels are oracle-pinned, not just golden-pinned on the benchmark designs.
+The cut truth-table kernel (:func:`repro.logic.cuts.cut_truth_tables`) and
+the fast PSDKRO extractor (:func:`repro.logic.esop.psdkro_cubes`) are
+rewrites of reference implementations that stay in the tree as oracles.
+These tests cross-check the rewrites against the oracles on *random* inputs
+— random AIG/XMG cones through the cut kernel, random and structured wide
+functions plus XOR-of-cubes reconstruction for PSDKRO — so the kernels are
+oracle-pinned, not just golden-pinned on the benchmark designs.  The packed
+word projections the cut kernel uses for k > 6 (:func:`tt_var_words`) are
+pinned against the big-int :func:`tt_var`.
 """
 
 import pytest
@@ -23,24 +24,8 @@ from repro.logic.cuts import (
     cut_truth_tables,
     enumerate_cuts,
 )
-from repro.logic.esop import (
-    _WordPsdkroExtractor,
-    psdkro_cubes,
-    psdkro_cubes_reference,
-)
-from repro.logic.truth_table import (
-    tt_cofactor0,
-    tt_cofactor0_words,
-    tt_cofactor1,
-    tt_cofactor1_words,
-    tt_from_words,
-    tt_mask,
-    tt_support,
-    tt_support_words,
-    tt_to_words,
-    tt_var,
-    tt_var_words,
-)
+from repro.logic.esop import psdkro_cubes, psdkro_cubes_reference
+from repro.logic.truth_table import tt_mask, tt_num_words, tt_var, tt_var_words
 from repro.logic.xmg import Xmg
 
 
@@ -109,52 +94,32 @@ def _cube_truth_table(cube: Cube, num_vars: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# packed-word truth-table helpers vs the big-int reference
+# packed-word projections (the cut kernel's k > 6 leaves) vs big-int tt_var
 # ---------------------------------------------------------------------------
 
 class TestWordHelpers:
-    @settings(max_examples=60, deadline=None)
-    @given(num_vars=st.integers(0, 9), data=st.data())
-    def test_roundtrip_and_cofactors(self, num_vars, data):
-        func = data.draw(st.integers(0, tt_mask(num_vars)))
-        words = tt_to_words(func, num_vars)
-        assert tt_from_words(words, num_vars) == func
-        for var in range(num_vars):
-            assert tt_from_words(
-                tt_cofactor0_words(words, var, num_vars), num_vars
-            ) == tt_cofactor0(func, var, num_vars)
-            assert tt_from_words(
-                tt_cofactor1_words(words, var, num_vars), num_vars
-            ) == tt_cofactor1(func, var, num_vars)
-
-    @settings(max_examples=60, deadline=None)
-    @given(num_vars=st.integers(0, 9), data=st.data())
-    def test_support_matches(self, num_vars, data):
-        func = data.draw(st.integers(0, tt_mask(num_vars)))
-        words = tt_to_words(func, num_vars)
-        assert tt_support_words(words, num_vars) == tt_support(func, num_vars)
-
     def test_var_projections(self):
+        # Word w holds minterms 64*w .. 64*w + 63, little-endian.
         for num_vars in (1, 3, 6, 7, 8, 10):
             for var in range(num_vars):
-                assert tt_from_words(
-                    tt_var_words(var, num_vars), num_vars
+                words = tt_var_words(var, num_vars)
+                assert int.from_bytes(
+                    words.astype("<u8").tobytes(), "little"
                 ) == tt_var(var, num_vars)
+
+    def test_num_words_matches_projection_length(self):
+        # One word holds up to 6 variables; past that, 64 minterms a word.
+        for num_vars in range(11):
+            expected = max(1, (1 << num_vars) // 64)
+            assert tt_num_words(num_vars) == expected
+            for var in range(num_vars):
+                assert len(tt_var_words(var, num_vars)) == expected
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             tt_var_words(3, 3)
-        words = tt_to_words(0b1010, 2)
         with pytest.raises(ValueError):
-            tt_cofactor0_words(words, 2, 2)
-        with pytest.raises(ValueError):
-            tt_cofactor1_words(words, -1, 2)
-
-    def test_word_layout_is_little_endian(self):
-        # Minterm 64 lives in bit 0 of word 1.
-        func = 1 << 64
-        words = tt_to_words(func, 7)
-        assert words.tolist() == [0, 1]
+            tt_var_words(-1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -252,29 +217,25 @@ class TestPsdkroProperties:
         assert table == func
 
     @settings(max_examples=15, deadline=None)
-    @given(data=st.data())
-    def test_word_extractor_matches_reference(self, data):
-        # The packed-word extractor only routes in for very wide tables;
-        # force it on 7/8-variable functions where the reference is cheap.
-        num_vars = data.draw(st.integers(7, 8))
+    @given(num_vars=st.integers(7, 8), data=st.data())
+    def test_matches_reference_on_random_wide_functions(self, num_vars, data):
         func = data.draw(st.integers(0, tt_mask(num_vars)))
-        extractor = _WordPsdkroExtractor(num_vars)
-        assert extractor.extract(func) == psdkro_cubes_reference(
+        assert psdkro_cubes(func, num_vars) == psdkro_cubes_reference(
             func, num_vars
         )
 
-    def test_word_extractor_on_wide_structured_functions(self):
-        # Parity and sparse functions keep the recursion shallow enough to
-        # exercise 10-variable word arrays against the reference.
-        num_vars = 10
+    @pytest.mark.parametrize("num_vars", [10, 16])
+    def test_matches_reference_on_wide_structured_functions(self, num_vars):
+        # Parity, sparse and constant functions keep the recursion shallow
+        # enough to check 10- and 16-variable tables against the reference.
+        size = 1 << num_vars
         parity = 0
-        for minterm in range(1 << num_vars):
+        for minterm in range(size):
             if bin(minterm).count("1") & 1:
                 parity |= 1 << minterm
-        sparse = (1 << 5) | (1 << 700) | (1 << 1023)
-        extractor = _WordPsdkroExtractor(num_vars)
+        sparse = (1 << 5) | (1 << (size * 2 // 3)) | (1 << (size - 1))
         for func in (parity, sparse, 0, tt_mask(num_vars)):
-            assert extractor.extract(func) == psdkro_cubes_reference(
+            assert psdkro_cubes(func, num_vars) == psdkro_cubes_reference(
                 func, num_vars
             )
 

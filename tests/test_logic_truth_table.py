@@ -32,6 +32,15 @@ class TestIntTruthTables:
         assert tt_var(0, 2) == 0b1010
         assert tt_var(1, 2) == 0b1100
 
+    def test_var_matches_minterm_definition(self):
+        # Bit x of the projection of variable i is set iff bit i of x is.
+        for num_vars in range(1, 11):
+            for index in range(num_vars):
+                table = tt_var(index, num_vars)
+                assert table >> (1 << num_vars) == 0
+                for x in range(1 << num_vars):
+                    assert (table >> x) & 1 == (x >> index) & 1
+
     def test_var_out_of_range(self):
         with pytest.raises(ValueError):
             tt_var(2, 2)

@@ -27,7 +27,7 @@ from repro.logic.cuts import (
     cut_enumeration_cache_stats,
     enumerate_cuts,
 )
-from repro.logic.truth_table import TruthTable, tt_mask
+from repro.logic.truth_table import TruthTable, tt_mask, tt_var
 from repro.logic.xmg import Xmg
 from repro.logic.xmg_mapping import aig_to_xmg
 from repro.opt.xmg_passes import xmg_refactor
@@ -146,26 +146,41 @@ class TestBddIterativeVsRecursive:
         for root, func in zip(roots, funcs):
             assert manager.to_truth_table(root) == func
 
-    @settings(max_examples=20, deadline=None)
-    @given(num_vars=st.integers(6, 9), data=st.data())
-    def test_word_sweep_matches_int_sweep(self, num_vars, data):
-        # Force the packed-word sweep on widths the int sweep would normally
-        # handle (the default threshold is 10 variables; the word layout
-        # itself starts at 6), so both sweeps see the same inputs.
-        import repro.logic.bdd as bdd_module
-
+    @settings(max_examples=6, deadline=None)
+    @given(num_vars=st.integers(10, 12), data=st.data())
+    def test_wide_truth_table_sweep_matches_reference(self, num_vars, data):
+        # Multi-kilobit tables, past the widths the property test above
+        # draws: the sweep must agree with the per-assignment oracle and
+        # round-trip the constructing functions.
         funcs = data.draw(
-            st.lists(st.integers(0, tt_mask(num_vars)), min_size=1, max_size=4)
+            st.lists(st.integers(0, tt_mask(num_vars)), min_size=1, max_size=3)
         )
         manager = BddManager(num_vars)
         roots = [manager.from_truth_table(f) for f in funcs]
-        expected = manager.to_truth_tables(roots)
-        original = bdd_module._WORD_SWEEP_MIN_VARS
-        bdd_module._WORD_SWEEP_MIN_VARS = 0
-        try:
-            assert manager.to_truth_tables(roots) == expected == funcs
-        finally:
-            bdd_module._WORD_SWEEP_MIN_VARS = original
+        assert manager.to_truth_tables(roots) == [
+            manager.to_truth_table_reference(r) for r in roots
+        ] == funcs
+
+    @pytest.mark.parametrize("num_vars", [10, 16])
+    def test_wide_structured_sweep_matches_projections(self, num_vars):
+        # Parity, full conjunction and a single-minterm cube, built with BDD
+        # operators (no explicit table on the way in), must expand to the
+        # tables composed from the big-int projections.
+        manager = BddManager(num_vars)
+        minterm = (1 << num_vars) * 2 // 3
+        parity, conjunction, cube = manager.false(), manager.true(), manager.true()
+        parity_tt, conjunction_tt = 0, tt_mask(num_vars)
+        for var in range(num_vars):
+            parity = manager.apply_xor(parity, manager.variable(var))
+            conjunction = manager.apply_and(conjunction, manager.variable(var))
+            literal = (manager.variable(var) if (minterm >> var) & 1
+                       else manager.nvariable(var))
+            cube = manager.apply_and(cube, literal)
+            parity_tt ^= tt_var(var, num_vars)
+            conjunction_tt &= tt_var(var, num_vars)
+        assert manager.to_truth_tables([parity, conjunction, cube]) == [
+            parity_tt, conjunction_tt, 1 << minterm,
+        ]
 
     @settings(max_examples=25, deadline=None)
     @given(num_pis=st.integers(2, 7), gates=_AIG_GATES)

@@ -56,8 +56,11 @@ __all__ = ["ResultCache", "cache_key", "CACHE_FORMAT_VERSION"]
 #: Version 8: ``lut_synth=exact`` covers come from an exhaustive optimal
 #: table instead of a wall-clock-budgeted SAT search; old entries may hold
 #: a budget-exhausted or early-stopped descent's cover, T-dearer than the
-#: optimum the same configuration now yields.
-CACHE_FORMAT_VERSION = 8
+#: optimum the same configuration now yields.  Version 9: circuits store
+#: every gate with its controls in ascending line order, and the explicit
+#: Clifford+T mapping follows that order, so T-depth and depth changed for
+#: the configurations whose emitters listed controls in another order.
+CACHE_FORMAT_VERSION = 9
 
 
 def _canonical_value(value: Any) -> Any:

@@ -21,11 +21,11 @@ __all__ = ["write_real", "read_real"]
 def write_real(circuit: ReversibleCircuit) -> str:
     """Serialise a reversible circuit into RevLib ``.real`` text.
 
-    Statically trivial gates are normalised away first (unsatisfiable
-    gates dropped, duplicate control entries deduplicated, cf.
+    Unsatisfiable gates are skipped (cf.
     :func:`repro.reversible.optimize.remove_trivial_gates`): the ``.real``
     format has no way to express a control list mentioning one variable
-    twice, and the skipped gates are identities.
+    twice, and the skipped gates are identities.  Duplicate control
+    entries never reach the writer; the circuit collapsed them on entry.
     """
     lines = circuit.lines()
     names = [info.name or f"x{i}" for i, info in enumerate(lines)]
@@ -60,8 +60,6 @@ def write_real(circuit: ReversibleCircuit) -> str:
     for gate in circuit.iter_gates():
         if gate.is_unsatisfiable():
             continue
-        if gate.has_duplicate_controls():
-            gate = gate.normalized()
         fields = [f"t{gate.num_controls() + 1}"]
         for line, polarity in gate.controls:
             prefix = "" if polarity else "-"

@@ -6,8 +6,8 @@ same pipeline specs, keep-best tracking (under the ``(T-count, gates)``
 objective of :func:`repro.opt.targets.target_cost`) and per-pass
 differential guards as the logic networks:
 
-* ``rev_trivial`` (``rt``) — drop statically unsatisfiable gates and
-  normalise duplicate control entries,
+* ``rev_trivial`` (``rt``) — drop statically unsatisfiable gates
+  (duplicate control entries are collapsed when a circuit stores a gate),
 * ``rev_not_merge`` (``rn``) — absorb NOT sandwiches into control
   polarities,
 * ``rev_cancel`` (``rc``) — commutation-aware cancellation of involutory
@@ -40,7 +40,7 @@ def register_rev_passes() -> None:
             "rev_trivial",
             remove_trivial_gates,
             network_types=("rev",),
-            description="drop unsatisfiable gates, dedupe control entries",
+            description="drop statically unsatisfiable gates",
             aliases=("rt",),
         ),
         Pass(

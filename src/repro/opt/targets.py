@@ -12,7 +12,9 @@ serve all four:
   ``rev`` / ``qc``) every target class carries,
 * :func:`target_stats` — a uniform :class:`~repro.logic.network.NetworkStats`
   snapshot (gates + depth for the circuit targets, with the reversible
-  depth computed by greedy line-conflict layering),
+  depth computed by greedy line-conflict layering over the packed gate
+  masks of :class:`~repro.reversible.circuit.ReversibleCircuit`, the only
+  ``rev`` target),
 * :func:`target_cost` — the per-target lexicographic keep-best objective:
   logic networks keep their :func:`~repro.logic.network.network_cost`
   tuples, reversible cascades and quantum circuits minimise
@@ -63,22 +65,20 @@ def reversible_depth(circuit: ReversibleCircuit) -> int:
 
     The sweep walks the packed mask columns of the gate store directly (one
     bit-walk per gate instead of materialising control tuples), memoising
-    the result on the store; foreign circuit objects without a gate store
-    fall back to :func:`reversible_depth_reference`.
+    the result on the store.  The lines of a gate are its care, polarity
+    and target bits, so the contradicted lines of an unsatisfiable gate
+    count as touched, as in :func:`reversible_depth_reference`.
     """
-    gate_store = getattr(circuit, "gate_store", None)
-    if gate_store is None:
-        return reversible_depth_reference(circuit)
-    store = gate_store()
+    store = circuit.gate_store()
     cached = store.stats.get("depth")
     if cached is not None:
         return cached
     levels = [0] * circuit.num_lines()
-    targets, cares, _, _ = store.columns()
-    for care, target in zip(cares, targets):
+    targets, cares, polarities, _ = store.columns()
+    for care, polarity, target in zip(cares, polarities, targets):
         lines = [target]
         level = levels[target]
-        mask = care
+        mask = care | polarity
         while mask:
             low = mask & -mask
             line = low.bit_length() - 1

@@ -174,17 +174,16 @@ def map_to_clifford_t(
     """
     if model not in available_models():
         raise ValueError(f"unknown T-count model {model!r}")
-    # Trivial gates are skipped and duplicate entries deduplicated below,
-    # so the ancilla register is sized from the *normalised* gate list —
-    # a wide unsatisfiable gate must not inflate the mapped qubit count.
+    # Unsatisfiable gates are skipped below, so the ancilla register is
+    # sized from the remaining gates, whose duplicate control entries the
+    # circuit collapsed on entry — a wide unsatisfiable gate must not
+    # inflate the mapped qubit count.
     gates = []
     max_controls = 0
     for gate in circuit.iter_gates():
         if gate.is_unsatisfiable():
             # The identity: costs nothing in the closed forms either.
             continue
-        if gate.has_duplicate_controls():
-            gate = gate.normalized()
         gates.append(gate)
         max_controls = max(max_controls, gate.num_controls())
     extra = max(0, max_controls - 2)

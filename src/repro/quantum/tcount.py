@@ -28,8 +28,7 @@ the charged control count, a polarity bit outside the care mask flags an
 unsatisfiable gate — and the per-arity sums collapse into one
 ``np.bincount``.  The per-object loops stay as
 :func:`circuit_t_count_reference` / :func:`t_count_histogram_reference`,
-the oracles the property tests compare against (and the fallback for
-duck-typed circuits without a gate store).
+the oracles the property tests compare against.
 """
 
 from __future__ import annotations
@@ -90,31 +89,24 @@ def _effective_num_controls(gate) -> Optional[int]:
     A statically unsatisfiable gate is the identity and costs nothing;
     duplicate control entries are charged once (the explicit mapping of
     :mod:`repro.quantum.mapping` normalises them the same way, which keeps
-    the closed forms and the emitted circuits in exact agreement).  Gate
-    objects without the trivial-gate introspection methods are charged
-    their raw ``num_controls()``.
+    the closed forms and the emitted circuits in exact agreement).
     """
-    is_unsatisfiable = getattr(gate, "is_unsatisfiable", None)
-    if is_unsatisfiable is not None and is_unsatisfiable():
+    if gate.is_unsatisfiable():
         return None
-    if getattr(gate, "has_duplicate_controls", lambda: False)():
+    if gate.has_duplicate_controls():
         return gate.normalized().num_controls()
     return gate.num_controls()
 
 
-def _charged_control_counts(circuit) -> Optional[np.ndarray]:
-    """Per-arity gate counts over the packed store, or ``None`` if absent.
+def _charged_control_counts(circuit) -> np.ndarray:
+    """Per-arity gate counts over the packed gate store.
 
     Entry ``k`` is the number of (satisfiable) gates charged for ``k``
     controls: the popcount of the care mask — duplicate entries collapsed —
     with unsatisfiable gates (polarity bits outside the care mask) dropped,
     matching :func:`_effective_num_controls` mask-natively.
     """
-    gate_store = getattr(circuit, "gate_store", None)
-    num_lines = getattr(circuit, "num_lines", None)
-    if gate_store is None or num_lines is None:
-        return None
-    packed = gate_store().packed(num_lines())
+    packed = circuit.gate_store().packed(circuit.num_lines())
     if packed.unsat.any():
         charged = packed.effective[~packed.unsat]
     else:
@@ -123,22 +115,15 @@ def _charged_control_counts(circuit) -> Optional[np.ndarray]:
 
 
 def circuit_t_count(circuit, model: str = "rtof") -> int:
-    """Total T-count of a reversible circuit (any object with ``gates()``).
+    """Total T-count of a :class:`~repro.reversible.circuit.ReversibleCircuit`.
 
-    ``circuit`` is duck-typed: a :class:`~repro.reversible.circuit.
-    ReversibleCircuit` (or anything exposing its ``gate_store()`` /
-    ``num_lines()`` surface) is costed by one vectorised popcount +
-    ``np.bincount`` sweep over the packed mask columns, memoised on the
-    store until the cascade mutates; any other object falls back to
-    :func:`circuit_t_count_reference`, which only needs ``gates()``
-    returning objects with a ``num_controls()`` method.  Statically
-    trivial gates (cf. :func:`repro.reversible.optimize.remove_trivial_gates`)
-    are identities and cost nothing.
+    One vectorised popcount + ``np.bincount`` sweep over the packed mask
+    columns, memoised on the gate store until the cascade mutates.
+    Statically trivial gates (cf.
+    :func:`repro.reversible.optimize.remove_trivial_gates`) are identities
+    and cost nothing.
     """
-    gate_store = getattr(circuit, "gate_store", None)
-    if gate_store is None:
-        return circuit_t_count_reference(circuit, model)
-    store = gate_store()
+    store = circuit.gate_store()
     if len(store) == 0:
         return 0
     if model not in _MODELS:
@@ -171,10 +156,7 @@ def t_count_histogram(circuit, model: str = "rtof") -> Dict[int, int]:
     store); arities that occur but cost nothing (NOT / CNOT) appear with
     value 0, matching :func:`t_count_histogram_reference`.
     """
-    gate_store = getattr(circuit, "gate_store", None)
-    if gate_store is None:
-        return t_count_histogram_reference(circuit, model)
-    store = gate_store()
+    store = circuit.gate_store()
     if len(store) == 0:
         return {}
     if model not in _MODELS:

@@ -21,16 +21,10 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.reversible.gates import ToffoliGate
+from repro.reversible.gates import ToffoliGate, control_masks
 from repro.reversible.gatestore import GateStore, bit_count
 
 __all__ = ["LineInfo", "LinePool", "ReversibleCircuit"]
-
-
-def _gate_is_canonical(gate: ToffoliGate) -> bool:
-    """True if the gate's control lines are strictly ascending (no dups)."""
-    controls = gate.controls
-    return all(a[0] < b[0] for a, b in zip(controls, controls[1:]))
 
 
 @dataclass(frozen=True)
@@ -66,6 +60,13 @@ class ReversibleCircuit:
     preserved while the cost kernels and synthesis emitters operate on the
     masks directly (:meth:`append_masks` / :meth:`extend_masks` /
     :meth:`gate_store`).
+
+    Every gate is normalised once, on entry: the store keeps only its
+    :func:`~repro.reversible.gates.control_masks` and raw control count,
+    and :meth:`gates` hands it back with controls in ascending line order
+    and duplicate entries collapsed.  Unsatisfiable gates are kept (and
+    counted by :meth:`num_gates`) until
+    :func:`~repro.reversible.optimize.remove_trivial_gates` drops them.
     """
 
     #: Target tag of the :mod:`repro.opt` pass manager (cf.
@@ -76,15 +77,6 @@ class ReversibleCircuit:
         self.name = name
         self._lines: List[LineInfo] = []
         self._store = GateStore()
-
-    def __setstate__(self, state) -> None:
-        # Back-compat with pickles from the object-list representation.
-        gates = state.pop("_gates", None)
-        self.__dict__.update(state)
-        if "_store" not in state:
-            self._store = GateStore()
-            if gates:
-                self.extend(gates)
 
     # -- lines ----------------------------------------------------------------
 
@@ -189,23 +181,36 @@ class ReversibleCircuit:
 
     # -- gates ----------------------------------------------------------------
 
-    def _gate_entry(self, gate: ToffoliGate) -> Tuple[int, int, int, bool]:
-        """Validated ``(care, polarity, raw_controls, canonical)`` of a gate."""
-        care, polarity = gate.control_masks()
-        max_line = care.bit_length() - 1
-        if gate.target > max_line:
-            max_line = gate.target
-        if max_line >= len(self._lines):
+    def _check_masks(self, care: int, polarity: int, target: int) -> None:
+        """Reject a gate whose masks leave the circuit or control its target."""
+        num_lines = len(self._lines)
+        if target < 0 or target >= num_lines or (care | polarity) >> num_lines:
             raise ValueError(
-                f"gate {gate} uses line {max_line} but the circuit has "
-                f"only {len(self._lines)} lines"
+                f"gate masks (care={care:#x}, polarity={polarity:#x}, "
+                f"target={target}) exceed the circuit's {num_lines} lines"
             )
-        return care, polarity, gate.num_controls(), _gate_is_canonical(gate)
+        if ((care | polarity) >> target) & 1:
+            raise ValueError("the target line may not also be a control line")
+
+    def _gate_entry(
+        self, gate: ToffoliGate
+    ) -> Tuple[int, int, int, Optional[ToffoliGate]]:
+        """Validated ``(care, polarity, raw_controls, object)`` of a gate.
+
+        The object is the caller's gate if it already is the normal form
+        (strictly ascending controls), else ``None``: the store then
+        materialises the normal form from the masks on demand.
+        """
+        controls = gate.controls
+        care, polarity = control_masks(controls)
+        self._check_masks(care, polarity, gate.target)
+        if any(a >= b for a, b in zip(controls, controls[1:])):
+            gate = None
+        return care, polarity, len(controls), gate
 
     def append(self, gate: ToffoliGate) -> None:
         """Append a gate to the cascade."""
-        care, polarity, raw, canonical = self._gate_entry(gate)
-        self._store.append(gate.target, care, polarity, raw, gate, canonical)
+        self._store.append(gate.target, *self._gate_entry(gate))
 
     def extend(self, gates: Iterable[ToffoliGate]) -> None:
         """Append several gates."""
@@ -213,80 +218,44 @@ class ReversibleCircuit:
             self.append(gate)
 
     def prepend(self, gate: ToffoliGate) -> None:
-        """Insert a gate at the beginning of the cascade (amortised O(1))."""
-        care, polarity, raw, canonical = self._gate_entry(gate)
-        self._store.prepend(gate.target, care, polarity, raw, gate, canonical)
+        """Insert a gate at the beginning of the cascade."""
+        self._store.prepend(gate.target, *self._gate_entry(gate))
 
     def append_masks(self, care: int, polarity: int, target: int) -> None:
-        """Append a gate mask-natively (no :class:`ToffoliGate` object).
+        """Append a satisfiable gate mask-natively (no :class:`ToffoliGate`).
 
         ``care`` / ``polarity`` follow the
-        :meth:`~repro.reversible.gates.ToffoliGate.control_masks` encoding
-        restricted to satisfiable, duplicate-free gates: the gate triggers
-        on state ``s`` iff ``s & care == polarity``.  The object, when
-        later requested, materialises with controls in ascending line
-        order.
+        :func:`~repro.reversible.gates.control_masks` encoding restricted
+        to satisfiable gates: the gate triggers on state ``s`` iff
+        ``s & care == polarity``.
         """
-        num_lines = len(self._lines)
-        if target < 0 or target >= num_lines or care >> num_lines:
-            raise ValueError(
-                f"gate masks (care={care:#x}, target={target}) exceed the "
-                f"circuit's {num_lines} lines"
-            )
-        if (care >> target) & 1:
-            raise ValueError("the target line may not also be a control line")
-        if polarity & ~care:
-            raise ValueError("polarity mask has bits outside the care mask")
-        self._store.append(target, care, polarity, bit_count(care), None)
+        self.extend_masks(((care, polarity, target),))
 
     def extend_masks(self, triples: Iterable[Tuple[int, int, int]]) -> None:
-        """Bulk mask-native append of ``(care, polarity, target)`` triples."""
-        num_lines = len(self._lines)
-        checked = []
-        for care, polarity, target in triples:
-            if (
-                target < 0
-                or target >= num_lines
-                or care >> num_lines
-                or (care >> target) & 1
-                or polarity & ~care
-            ):
-                raise ValueError(
-                    f"gate masks (care={care:#x}, polarity={polarity:#x}, "
-                    f"target={target}) are invalid for a circuit with "
-                    f"{num_lines} lines"
-                )
-            checked.append((care, polarity, target))
+        """Bulk :meth:`append_masks` of ``(care, polarity, target)`` triples.
+
+        Every triple is checked before any is appended.
+        """
+        checked = list(triples)
+        check = self._check_masks
+        for care, polarity, target in checked:
+            if polarity & ~care:
+                raise ValueError("polarity mask has bits outside the care mask")
+            check(care, polarity, target)
         self._store.extend_masks(checked)
 
     def append_controls(
         self, controls: Sequence[Tuple[int, bool]], target: int
     ) -> None:
-        """Append a gate from a control list, mask-natively when possible.
+        """Append a gate from a control list without building its object.
 
-        Controls in strictly ascending line order (the shape every
-        synthesis emitter produces) take the packed path and skip
-        :class:`ToffoliGate` construction; any other shape falls back to
-        the object path so the materialised cascade is identical to what
-        ``append(ToffoliGate(tuple(controls), target))`` would have built.
+        Any control shape is accepted and normalised like :meth:`append`:
+        the stored masks, and the gate :meth:`gates` later materialises,
+        equal those of ``append(ToffoliGate(tuple(controls), target))``.
         """
-        care = 0
-        polarity = 0
-        previous = -1
-        ascending = True
-        for line, positive in controls:
-            if line <= previous or line < 0:
-                ascending = False
-                break
-            previous = line
-            bit = 1 << line
-            care |= bit
-            if positive:
-                polarity |= bit
-        if ascending:
-            self.append_masks(care, polarity, target)
-        else:
-            self.append(ToffoliGate(tuple(controls), target))
+        care, polarity = control_masks(controls)
+        self._check_masks(care, polarity, target)
+        self._store.append(target, care, polarity, len(controls), None)
 
     def extend_controls(
         self, gates: Iterable[Tuple[Sequence[Tuple[int, bool]], int]]

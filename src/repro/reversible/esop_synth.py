@@ -150,10 +150,8 @@ def esop_synthesis(
     )
     scratch = circuit.add_constant_line(0, name="scratch") if needs_scratch else None
 
-    # Gate sites below go through append_controls: ascending control lists
-    # (cube literals are emitted in ascending variable order) take the
-    # mask-native path into the columnar store, anything else falls back to
-    # an equivalent gate object transparently.
+    # Gate sites below go through append_controls, which stores the masks
+    # of each control list without building a gate object.
 
     # Compute the factors (they only depend on inputs / earlier factors).
     for line, pair in factors:

@@ -10,7 +10,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Sequence, Tuple
 
-__all__ = ["ToffoliGate"]
+__all__ = ["ToffoliGate", "control_masks"]
+
+
+def control_masks(controls: Iterable[Tuple[int, bool]]) -> Tuple[int, int]:
+    """Bit masks ``(care, polarity)`` of a ``(line, polarity)`` control list.
+
+    The gate triggers on a state ``s`` iff ``s & care == polarity``.  Every
+    line controlled with one polarity is in ``care`` (and in ``polarity``
+    when positive); duplicate entries collapse.  A line controlled with
+    *both* polarities is set in ``polarity`` but not in ``care``: the
+    trigger condition is then false on every state, ``polarity & ~care``
+    flags the gate as unsatisfiable, and the contradicted lines stay
+    recoverable from the masks.
+    """
+    positive = 0
+    negative = 0
+    for line, is_positive in controls:
+        if line < 0:
+            raise ValueError("line indices must be non-negative")
+        if is_positive:
+            positive |= 1 << line
+        else:
+            negative |= 1 << line
+    return positive ^ negative, positive
 
 
 @dataclass(frozen=True)
@@ -26,9 +49,13 @@ class ToffoliGate:
     of the same polarity are redundant; a line controlled with *both*
     polarities makes the gate statically unsatisfiable (it can never
     trigger).  Both shapes arise from mechanical gate rewriting (control
-    merging, polarity pushing) and are what
-    :func:`repro.reversible.optimize.remove_trivial_gates` normalises away.
-    The target may never also be a control line — that would not describe a
+    merging, polarity pushing).  A
+    :class:`~repro.reversible.circuit.ReversibleCircuit` stores every gate
+    by its :meth:`control_masks` and hands it back in normal form: controls
+    in ascending line order, duplicate entries collapsed, and a
+    contradicted line listed once per polarity; the unsatisfiable gates are
+    what :func:`repro.reversible.optimize.remove_trivial_gates` drops.  The
+    target may never also be a control line — that would not describe a
     reversible function.
     """
 
@@ -94,11 +121,8 @@ class ToffoliGate:
         A line controlled with both polarities requires that line to be 0
         and 1 at once, so the gate is the identity on every state.
         """
-        polarities: Dict[int, bool] = {}
-        for line, positive in self.controls:
-            if polarities.setdefault(line, positive) != positive:
-                return True
-        return False
+        care, polarity = self.control_masks()
+        return bool(polarity & ~care)
 
     def normalized(self) -> "ToffoliGate":
         """A copy with duplicate control entries removed (first kept).
@@ -136,21 +160,13 @@ class ToffoliGate:
     def control_masks(self) -> Tuple[int, int]:
         """Bit masks ``(care, polarity)`` over line indices.
 
-        The gate triggers on a state ``s`` iff ``s & care == polarity``.
-        For an unsatisfiable gate (a line controlled with both polarities)
-        the returned polarity carries the target bit — which is never in
-        ``care`` — so the trigger condition is false on every state and all
-        mask-based evaluators treat the gate as the identity it is.
+        The encoding of the module-level :func:`control_masks`: the gate
+        triggers on a state ``s`` iff ``s & care == polarity``, and a line
+        controlled with both polarities is a ``polarity`` bit outside
+        ``care``, so every mask-based evaluator treats an unsatisfiable
+        gate as the identity it is.
         """
-        care = 0
-        polarity = 0
-        for line, positive in self.controls:
-            care |= 1 << line
-            if positive:
-                polarity |= 1 << line
-        if self.is_unsatisfiable():
-            polarity = (polarity & care) | (1 << self.target)
-        return care, polarity
+        return control_masks(self.controls)
 
     def applies_to(self, state: int) -> bool:
         """True if the controls are satisfied in ``state`` (a bit vector)."""

@@ -14,33 +14,29 @@ becomes the bit-width ceiling.
   big-ints (width-agnostic: lines may be added to a circuit after gates
   exist, so the word width is only fixed when a packed NumPy view is
   requested),
-* ``raw_controls`` — the raw ``num_controls()`` (duplicate entries counted,
-  matching the object API),
+* ``raw_controls`` — the caller's raw ``num_controls()`` (duplicate
+  entries counted), which only ``gate_histogram`` / ``max_controls`` read,
 * an optional parallel list of lazily materialised gate objects, so the
   object API (``gates()``, pickling, equality against hand-built circuits)
   is preserved without paying for objects on the mask-native hot path.
 
-The mask encoding is exactly that of
-:meth:`~repro.reversible.gates.ToffoliGate.control_masks`: a gate triggers
-on state ``s`` iff ``s & care == polarity``; statically unsatisfiable gates
-carry their target bit in ``polarity`` (never in ``care``), so
-``polarity & ~care != 0`` identifies them mask-natively.
-
-A store is *canonical* while every gate it holds has strictly ascending,
-duplicate-free control lines — then a gate materialised from its masks is
-equal (as a dataclass) to the object the caller supplied, and mask
-equality coincides with object equality.  The vectorised peephole passes
-of :mod:`repro.reversible.optimize` rely on this flag and fall back to the
-``*_reference`` object-path implementations on non-canonical stores, which
-keeps their outputs byte-identical in every case.
+The masks are the only truth about a gate.  Their encoding is that of
+:func:`~repro.reversible.gates.control_masks`: a gate triggers on state
+``s`` iff ``s & care == polarity``, and a line controlled with both
+polarities is a ``polarity`` bit outside ``care``, so
+``polarity & ~care != 0`` identifies an unsatisfiable gate.  A gate is
+materialised from its masks in normal form — controls in ascending line
+order, a contradicted line once per polarity — so mask equality is gate
+equality, and the vectorised peephole passes of
+:mod:`repro.reversible.optimize` are exact on every store.
 
 :meth:`packed` exposes the columns as cached NumPy arrays — ``(G,)``
 targets / control counts and ``(G, W)`` ``uint64`` mask words (multi-word
-past 64 lines, mirroring the bit-sliced kernels of PRs 8-9) — which is
-what the vectorised T-count, depth and pass kernels consume.  The cache
-and the derived statistics (:attr:`stats`) are invalidated on mutation and
-shared across :meth:`copy`, so a pipeline that threads an unchanged
-cascade through several passes computes each statistic once.
+past 64 lines, like the bit-sliced synthesis kernels) — which is what
+the vectorised T-count kernels and the trivial-gate filter consume.  The
+cache and the derived statistics (:attr:`stats`) are invalidated on
+mutation and shared across :meth:`copy`, so a pipeline that threads an
+unchanged cascade through several passes computes each statistic once.
 """
 
 from __future__ import annotations
@@ -126,8 +122,8 @@ class PackedGates:
         #: Normalised control count: duplicate entries collapse into the
         #: care mask, so its popcount is what the T-count models charge.
         self.effective = popcount_words(care)
-        #: Statically unsatisfiable gates carry their target bit in the
-        #: polarity mask outside the care mask (cf. ToffoliGate.control_masks).
+        #: Statically unsatisfiable gates carry their contradicted lines in
+        #: the polarity mask outside the care mask (cf. gates.control_masks).
         self.unsat = (polarity & ~care).any(axis=1)
 
     def __len__(self) -> int:
@@ -143,8 +139,6 @@ class GateStore:
         "_polarity",
         "_raw",
         "_objects",
-        "_pending_front",
-        "_canonical",
         "_memo",
         "_packed",
         "_stats",
@@ -158,12 +152,6 @@ class GateStore:
         #: Parallel list of materialised gate objects (``None`` holes for
         #: mask-appended gates); ``None`` while no object exists at all.
         self._objects: Optional[List[Optional[ToffoliGate]]] = None
-        #: Prepended gates in call order (newest last); merged into the
-        #: columns lazily so ``prepend`` is amortised O(1).
-        self._pending_front: List[
-            Tuple[int, int, int, int, Optional[ToffoliGate]]
-        ] = []
-        self._canonical = True
         #: (care, polarity, target) -> materialised gate; shared across
         #: copies (content-keyed and append-only, so sharing is safe).
         self._memo: Dict[Tuple[int, int, int], ToffoliGate] = {}
@@ -182,7 +170,6 @@ class GateStore:
         polarity: List[int],
         raw: List[int],
         objects: Optional[List[Optional[ToffoliGate]]] = None,
-        canonical: bool = True,
         memo: Optional[Dict[Tuple[int, int, int], ToffoliGate]] = None,
     ) -> "GateStore":
         """Build a store directly from parallel columns (takes ownership)."""
@@ -192,7 +179,6 @@ class GateStore:
         store._polarity = polarity
         store._raw = raw
         store._objects = objects
-        store._canonical = canonical
         if memo is not None:
             store._memo = memo
         return store
@@ -212,32 +198,6 @@ class GateStore:
         """
         self._invalidate()
 
-    def _consolidate(self) -> None:
-        """Merge pending prepends into the front of the columns."""
-        front = self._pending_front
-        if not front:
-            return
-        self._pending_front = []
-        front.reverse()  # newest prepend must end up first in cascade order
-        self._targets[:0] = [entry[0] for entry in front]
-        self._care[:0] = [entry[1] for entry in front]
-        self._polarity[:0] = [entry[2] for entry in front]
-        self._raw[:0] = [entry[3] for entry in front]
-        if self._objects is None and any(entry[4] is not None for entry in front):
-            self._objects = [None] * (len(self._targets) - len(front))
-        if self._objects is not None:
-            self._objects[:0] = [entry[4] for entry in front]
-
-    def is_canonical(self) -> bool:
-        """True while every gate has strictly ascending control lines.
-
-        On a canonical store, materialising a gate from its masks yields an
-        object equal to the one the caller supplied, and mask equality
-        coincides with gate-object equality — the precondition of the
-        vectorised peephole passes.
-        """
-        return self._canonical
-
     @property
     def stats(self) -> Dict[object, object]:
         """Mutation-invalidated scratch space for derived statistics."""
@@ -246,7 +206,7 @@ class GateStore:
     # -- size -----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._targets) + len(self._pending_front)
+        return len(self._targets)
 
     # -- mutation -------------------------------------------------------------
 
@@ -257,9 +217,13 @@ class GateStore:
         polarity: int,
         raw_controls: int,
         obj: Optional[ToffoliGate],
-        canonical: bool = True,
     ) -> None:
-        """Append one gate given its mask encoding (and optional object)."""
+        """Append one gate given its mask encoding (and optional object).
+
+        ``obj``, when given, must equal the gate materialised from the
+        masks; the circuit wrapper passes only gates already in normal
+        form.
+        """
         self._targets.append(target)
         self._care.append(care)
         self._polarity.append(polarity)
@@ -269,8 +233,6 @@ class GateStore:
         elif obj is not None:
             self._objects = [None] * (len(self._targets) - 1)
             self._objects.append(obj)
-        if not canonical:
-            self._canonical = False
         self._invalidate()
 
     def prepend(
@@ -280,12 +242,16 @@ class GateStore:
         polarity: int,
         raw_controls: int,
         obj: Optional[ToffoliGate],
-        canonical: bool = True,
     ) -> None:
-        """Insert one gate at the cascade front (amortised O(1))."""
-        self._pending_front.append((target, care, polarity, raw_controls, obj))
-        if not canonical:
-            self._canonical = False
+        """Insert one gate at the cascade front (cf. :meth:`append`)."""
+        self._targets.insert(0, target)
+        self._care.insert(0, care)
+        self._polarity.insert(0, polarity)
+        self._raw.insert(0, raw_controls)
+        if self._objects is not None:
+            self._objects.insert(0, obj)
+        elif obj is not None:
+            self._objects = [obj] + [None] * (len(self._targets) - 1)
         self._invalidate()
 
     def extend_masks(self, triples: Sequence[Tuple[int, int, int]]) -> None:
@@ -293,8 +259,8 @@ class GateStore:
 
         The caller is responsible for validation (the circuit wrapper
         checks line bounds and mask consistency); every triple must be
-        satisfiable and duplicate-free, which mask encodings produced by
-        the synthesis kernels are by construction.
+        satisfiable, which mask encodings produced by the synthesis
+        kernels are by construction.
         """
         append_target = self._targets.append
         append_care = self._care.append
@@ -319,11 +285,15 @@ class GateStore:
         gate = self._memo.get(key)
         if gate is None:
             controls: List[Tuple[int, bool]] = []
-            mask = care
+            mask = care | polarity
             while mask:
                 low = mask & -mask
                 line = low.bit_length() - 1
-                controls.append((line, bool((polarity >> line) & 1)))
+                if care & low:
+                    controls.append((line, bool(polarity & low)))
+                else:  # contradicted line: both polarities
+                    controls.append((line, False))
+                    controls.append((line, True))
                 mask ^= low
             gate = ToffoliGate(tuple(controls), target)
             self._memo[key] = gate
@@ -331,7 +301,6 @@ class GateStore:
 
     def gate_at(self, index: int) -> ToffoliGate:
         """The gate object at ``index`` (materialised and cached on demand)."""
-        self._consolidate()
         objects = self._objects
         if objects is not None:
             gate = objects[index]
@@ -352,7 +321,6 @@ class GateStore:
         fly; the iterator is lazy, so consuming a prefix only materialises
         that prefix.  Mutating the store while iterating is undefined.
         """
-        self._consolidate()
         targets, care, polarity = self._targets, self._care, self._polarity
         objects = self._objects
         if objects is None:
@@ -368,10 +336,9 @@ class GateStore:
 
     def num_materialized(self) -> int:
         """How many gate objects currently exist (for laziness regressions)."""
-        front = sum(1 for entry in self._pending_front if entry[4] is not None)
         if self._objects is None:
-            return front
-        return front + sum(1 for gate in self._objects if gate is not None)
+            return 0
+        return sum(1 for gate in self._objects if gate is not None)
 
     # -- columnar access ------------------------------------------------------
 
@@ -381,7 +348,6 @@ class GateStore:
         The returned lists are the store's own storage — callers must treat
         them as read-only.
         """
-        self._consolidate()
         return self._targets, self._care, self._polarity, self._raw
 
     def packed(self, num_lines: int) -> PackedGates:
@@ -392,7 +358,6 @@ class GateStore:
         the cache is keyed on the resulting word count and invalidated on
         every mutation.
         """
-        self._consolidate()
         num_words = max(1, -(-num_lines // _WORD_BITS))
         cached = self._packed
         if cached is not None and cached.num_words == num_words:
@@ -418,8 +383,6 @@ class GateStore:
         new._polarity = list(self._polarity)
         new._raw = list(self._raw)
         new._objects = list(self._objects) if self._objects is not None else None
-        new._pending_front = list(self._pending_front)
-        new._canonical = self._canonical
         new._memo = self._memo
         new._packed = self._packed
         new._stats = dict(self._stats)
@@ -431,15 +394,12 @@ class GateStore:
         Order-independent statistics (T-counts, histograms) carry over;
         order-dependent ones (greedy depth) are dropped.
         """
-        self._consolidate()
         new = GateStore.__new__(GateStore)
         new._targets = self._targets[::-1]
         new._care = self._care[::-1]
         new._polarity = self._polarity[::-1]
         new._raw = self._raw[::-1]
         new._objects = self._objects[::-1] if self._objects is not None else None
-        new._pending_front = []
-        new._canonical = self._canonical
         new._memo = self._memo
         new._packed = None
         new._stats = {
@@ -452,7 +412,6 @@ class GateStore:
     # -- pickling -------------------------------------------------------------
 
     def __getstate__(self):
-        self._consolidate()
         objects = self._objects
         if objects is not None and all(gate is None for gate in objects):
             objects = None
@@ -462,7 +421,6 @@ class GateStore:
             "polarity": self._polarity,
             "raw": self._raw,
             "objects": objects,
-            "canonical": self._canonical,
         }
 
     def __setstate__(self, state) -> None:
@@ -471,14 +429,12 @@ class GateStore:
         self._polarity = state["polarity"]
         self._raw = state["raw"]
         self._objects = state["objects"]
-        self._pending_front = []
-        self._canonical = state["canonical"]
         self._memo = {}
         self._packed = None
         self._stats = {}
 
     def __repr__(self) -> str:
         return (
-            f"GateStore(gates={len(self)}, canonical={self._canonical}, "
+            f"GateStore(gates={len(self)}, "
             f"materialized={self.num_materialized()})"
         )

@@ -12,8 +12,7 @@ This module provides the standard ones:
 * :func:`merge_not_gates` — a NOT gate adjacent to a gate controlling the
   same line is absorbed by flipping that control's polarity.
 * :func:`remove_trivial_gates` — gates whose control list is statically
-  unsatisfiable (a line controlled with both polarities) are dropped, and
-  duplicate control entries are normalised away.
+  unsatisfiable (a line controlled with both polarities) are dropped.
 * :func:`optimize_circuit` — the standard script: trivial-gate removal,
   NOT merging and cancellation, iterated to a fixed point.
 
@@ -22,12 +21,13 @@ Each pass runs on the packed mask columns of the circuit's
 the NOT-absorption rewrite are all pure mask arithmetic there — and
 returns the *input circuit object* when it finds nothing to rewrite, so a
 pipeline that iterates the passes to a fixed point keeps the store's
-cached statistics alive across rounds.  The mask formulation is exact only
-while the store is canonical (strictly ascending, duplicate-free control
-lines on every gate); otherwise the pass delegates to its ``*_reference``
-twin — the original per-gate-object implementation, kept both as that
-fallback and as the oracle the property tests compare against.  Either
-way the output cascade is gate-for-gate identical to the reference.
+cached statistics alive across rounds.  A circuit normalises every gate
+on entry (controls in ascending line order, duplicates collapsed), so two
+gates are equal exactly when their ``(care, polarity, target)`` triples
+are, and every pass is exact on every circuit.  The original
+per-gate-object implementations stay as the ``*_reference`` twins, the
+oracles the property tests compare against; the output cascades are
+gate-for-gate identical.
 
 All passes preserve the circuit function exactly (asserted by the
 test-suite via permutation comparison on small circuits and random
@@ -42,6 +42,8 @@ networks.
 from __future__ import annotations
 
 from typing import List, Tuple
+
+import numpy as np
 
 from repro.reversible.circuit import ReversibleCircuit
 from repro.reversible.gates import ToffoliGate
@@ -79,17 +81,15 @@ def _gates_commute(first: ToffoliGate, second: ToffoliGate) -> bool:
 def cancel_adjacent_gates(circuit: ReversibleCircuit) -> ReversibleCircuit:
     """Remove pairs of identical gates that can be brought next to each other.
 
-    Mask-native: on a canonical gate store two gates are equal iff their
-    ``(care, polarity, target)`` triples are, and the commutation test of
+    Mask-native: two gates are equal iff their ``(care, polarity,
+    target)`` triples are, and the commutation test of
     :func:`_gates_commute` is two AND-tests against each gate's *touched*
-    mask (``care | 1 << target``).  The backward scan of the reference is
-    replayed on the mask columns; when no pair cancels, the input circuit
-    is returned unchanged.
+    mask (``care | polarity | 1 << target``, which includes the
+    contradicted lines of an unsatisfiable gate).  The backward scan of
+    the reference is replayed on the mask columns; when no pair cancels,
+    the input circuit is returned unchanged.
     """
-    store = circuit.gate_store()
-    if not store.is_canonical():
-        return cancel_adjacent_gates_reference(circuit)
-    in_targets, in_care, in_polarity, in_raw = store.columns()
+    in_targets, in_care, in_polarity, in_raw = circuit.gate_store().columns()
 
     targets: List[int] = []
     cares: List[int] = []
@@ -102,7 +102,7 @@ def cancel_adjacent_gates(circuit: ReversibleCircuit) -> ReversibleCircuit:
         care = in_care[gate_index]
         polarity = in_polarity[gate_index]
         target_bit = 1 << target
-        gate_touched = care | target_bit
+        gate_touched = care | polarity | target_bit
         index = len(targets) - 1
         cancelled = False
         while index >= 0:
@@ -175,18 +175,16 @@ def merge_not_gates(circuit: ReversibleCircuit) -> ReversibleCircuit:
     ``G(l')``.  This is the pattern produced by negative-control emulation
     and by the OR blocks of the hierarchical flow.
 
-    Mask-native: a NOT is a gate with an empty care mask, the pattern test
-    is three integer comparisons, and the absorption itself is one XOR into
-    the middle gate's polarity mask.  Rewrites only ever shorten the window
-    around position ``i``, so resuming the scan at ``max(0, i - 2)`` visits
-    exactly the matches the restart-from-zero reference loop finds, in the
-    same order.  When no pattern matches, the input circuit is returned
+    Mask-native: a NOT is a gate with empty masks, the pattern test is a
+    few integer comparisons (an unsatisfiable middle gate is left to
+    :func:`remove_trivial_gates`, as in the reference), and the absorption
+    itself is one XOR into the middle gate's polarity mask.  Rewrites only
+    ever shorten the window around position ``i``, so resuming the scan at
+    ``max(0, i - 2)`` visits exactly the matches the restart-from-zero
+    reference loop finds, in the same order.  When no pattern matches, the input circuit is returned
     unchanged.
     """
-    store = circuit.gate_store()
-    if not store.is_canonical():
-        return merge_not_gates_reference(circuit)
-    in_targets, in_care, in_polarity, in_raw = store.columns()
+    in_targets, in_care, in_polarity, in_raw = circuit.gate_store().columns()
 
     targets = list(in_targets)
     cares = list(in_care)
@@ -202,6 +200,10 @@ def merge_not_gates(circuit: ReversibleCircuit) -> ReversibleCircuit:
             and targets[i + 2] == line
             and targets[i + 1] != line
             and (cares[i + 1] >> line) & 1
+            # NOTs have no polarity bit; the middle gate none outside care.
+            and not (
+                polarities[i] | polarities[i + 2] | polarities[i + 1] & ~cares[i + 1]
+            )
         ):
             polarities[i + 1] ^= 1 << line
             del targets[i + 2], targets[i]
@@ -253,25 +255,34 @@ def merge_not_gates_reference(circuit: ReversibleCircuit) -> ReversibleCircuit:
 
 
 def remove_trivial_gates(circuit: ReversibleCircuit) -> ReversibleCircuit:
-    """Drop gates that provably do nothing and normalise the rest.
+    """Drop gates whose control list is statically unsatisfiable.
 
-    Two shapes of statically trivial gates exist in the gate library:
-
-    * a gate whose control list contains the same line with *both*
-      polarities is unsatisfiable — it never triggers and is removed,
-    * duplicate control entries of the same polarity are redundant — the
-      gate is replaced by its :meth:`~ToffoliGate.normalized` form, which
-      also restores the honest ``num_controls`` count the T-count models
-      charge for.
-
-    Both shapes require a duplicated control line, which a canonical gate
-    store rules out by construction — in that case the input circuit is
-    returned unchanged without touching a single gate object.
+    A gate that controls a line with *both* polarities never triggers; its
+    masks flag it with a polarity bit outside the care mask, and the pass
+    is a filter on the ``unsat`` column of the store's cached packed view
+    (the one the T-count kernel reads).  Duplicate control entries of the
+    same polarity need no gate rewrite — the circuit collapsed them on
+    entry — so the kept gates only have their raw control counts reset to
+    the collapsed count, as the reference's normalisation does.  With no
+    unsatisfiable gate and no duplicate entry, the input circuit is
+    returned unchanged.
     """
     store = circuit.gate_store()
-    if store.is_canonical():
+    packed = store.packed(circuit.num_lines())
+    if not packed.unsat.any() and np.array_equal(
+        packed.raw_controls, packed.effective
+    ):
         return circuit
-    return remove_trivial_gates_reference(circuit)
+    keep = np.flatnonzero(~packed.unsat).tolist()
+    targets, cares, polarities, _ = store.columns()
+    return circuit._with_store(
+        GateStore.from_columns(
+            [targets[i] for i in keep],
+            [cares[i] for i in keep],
+            [polarities[i] for i in keep],
+            packed.effective[keep].tolist(),
+        )
+    )
 
 
 def remove_trivial_gates_reference(

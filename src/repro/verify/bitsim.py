@@ -296,12 +296,13 @@ def simulate_reversible_states(
             state[line] = _ALL_ONES
     targets, cares, polarities, _ = circuit.gate_store().columns()
     for care, polarity, target in zip(cares, polarities, targets):
-        if care == 0:
-            state[target] ^= _ALL_ONES
-            continue
         if polarity & ~care:
             # Unsatisfiable gate: the AND of both polarities of a line is 0,
-            # so the reference loop XORs nothing — skip it outright.
+            # so the reference loop XORs nothing — skip it outright.  Tested
+            # first: a gate whose only controls contradict has ``care == 0``.
+            continue
+        if care == 0:
+            state[target] ^= _ALL_ONES
             continue
         mask = care
         low = mask & -mask

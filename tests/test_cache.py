@@ -83,9 +83,10 @@ class TestCanonicalisation:
         assert key_of({}, verify=True) == key_of({}, verify="auto")
         assert key_of({}, verify=False) == key_of({}, verify="off")
 
-    def test_format_version_is_eight(self):
-        # Table-optimal exact-LUT covers invalidate old entries exactly once.
-        assert CACHE_FORMAT_VERSION == 8
+    def test_format_version_is_nine(self):
+        # Ascending-control gate storage (new T-depths) invalidates old
+        # entries exactly once.
+        assert CACHE_FORMAT_VERSION == 9
 
 
 class TestCorruptEntries:

@@ -45,6 +45,11 @@ from repro.reversible.optimize import (
     remove_trivial_gates,
     remove_trivial_gates_reference,
 )
+from repro.verify.bitsim import (
+    exhaustive_batch,
+    simulate_reversible_states,
+    unpack_bits,
+)
 
 
 def _random_circuit(rng, num_lines, num_gates, messy=True):
@@ -124,6 +129,20 @@ class TestPassesAgree:
                 (cancel_adjacent_gates, cancel_adjacent_gates_reference),
             ):
                 assert fast(circuit.copy()).gates() == reference(circuit.copy()).gates()
+        # Raw control counts: trivial-gate removal resets duplicate entries
+        # like the reference; on its output every pass agrees in full.
+        for circuit in CASES:
+            trimmed = remove_trivial_gates(circuit)
+            expected = remove_trivial_gates_reference(circuit)
+            assert trimmed.gate_histogram() == expected.gate_histogram()
+            assert trimmed.max_controls() == expected.max_controls()
+            for fast, reference in (
+                (merge_not_gates, merge_not_gates_reference),
+                (cancel_adjacent_gates, cancel_adjacent_gates_reference),
+            ):
+                ours, theirs = fast(trimmed), reference(trimmed)
+                assert ours.gates() == theirs.gates()
+                assert ours.gate_histogram() == theirs.gate_histogram()
 
     def test_optimize_preserves_function(self):
         rng = random.Random(99)
@@ -192,7 +211,7 @@ class TestStoreMechanics:
         gates.clear()
         assert circuit.num_gates() == 10
 
-    def test_prepend_order_and_amortized_front(self):
+    def test_prepend_order_and_front(self):
         circuit = ReversibleCircuit()
         for line in range(4):
             circuit.add_line(f"l{line}")
@@ -250,6 +269,163 @@ class TestStoreMechanics:
     def test_inverse_reverses_gates(self):
         circuit = _random_circuit(random.Random(21), 5, 15, messy=False)
         assert circuit.inverse().gates() == list(reversed(circuit.gates()))
+
+
+class TestNormalisedEntry:
+    """Every gate is stored by its masks and handed back in normal form."""
+
+    MESSY = [
+        ToffoliGate(((3, True), (0, False), (3, True)), 1),  # unsorted + dup
+        ToffoliGate(((2, True), (0, True), (2, False)), 4),  # unsatisfiable
+        ToffoliGate(((4, False), (1, True)), 0),  # unsorted
+        ToffoliGate(((1, False), (1, True), (1, False)), 2),  # only contradiction
+    ]
+    NORMAL = [
+        ToffoliGate(((0, False), (3, True)), 1),
+        ToffoliGate(((0, True), (2, False), (2, True)), 4),
+        ToffoliGate(((1, True), (4, False)), 0),
+        ToffoliGate(((1, False), (1, True)), 2),
+    ]
+
+    @staticmethod
+    def _empty(num_lines=5):
+        circuit = ReversibleCircuit()
+        for line in range(num_lines):
+            circuit.add_line(f"l{line}")
+        return circuit
+
+    def _columns(self, circuit):
+        targets, care, polarity, _ = circuit.gate_store().columns()
+        return targets, care, polarity
+
+    def test_messy_gates_round_trip_to_normal_form(self):
+        objects = self._empty()
+        objects.extend(self.MESSY)
+        controls = self._empty()
+        controls.extend_controls((gate.controls, gate.target) for gate in self.MESSY)
+        prepended = self._empty()
+        for gate in reversed(self.MESSY):
+            prepended.prepend(gate)
+        sorted_append = self._empty()
+        sorted_append.extend(self.NORMAL)
+        for circuit in (objects, controls, prepended):
+            assert circuit.gates() == self.NORMAL
+            assert pickle.loads(pickle.dumps(circuit)).gates() == self.NORMAL
+            assert self._columns(circuit) == self._columns(sorted_append)
+            # The unsatisfiable gates still count; the raw column keeps the
+            # caller's control count.
+            assert circuit.num_gates() == 4
+            assert circuit.gate_histogram() == {3: 3, 2: 1}
+            assert np.array_equal(
+                circuit.to_permutation(), sorted_append.to_permutation()
+            )
+        assert [gate.is_unsatisfiable() for gate in objects.gates()] == [
+            False,
+            True,
+            False,
+            True,
+        ]
+
+    def test_remove_trivial_gates_is_a_mask_filter(self):
+        circuit = self._empty()
+        circuit.extend(self.MESSY)
+        trimmed = remove_trivial_gates(circuit)
+        assert trimmed.gates() == [self.NORMAL[0], self.NORMAL[2]]
+        assert trimmed.gates() == remove_trivial_gates_reference(circuit).gates()
+        assert trimmed.gate_histogram() == {2: 2}
+        assert remove_trivial_gates(trimmed) is trimmed
+        # Duplicate entries alone: no gate dropped, raw counts collapsed.
+        duplicated = self._empty()
+        duplicated.append(self.MESSY[0])
+        collapsed = remove_trivial_gates(duplicated)
+        assert collapsed.gates() == [self.NORMAL[0]]
+        assert collapsed.gate_histogram() == {2: 1}
+        assert duplicated.gate_histogram() == {3: 1}
+
+    @staticmethod
+    def _simulated_permutation(circuit):
+        """``to_permutation`` recomputed by the bit-parallel simulator."""
+        num_lines = circuit.num_lines()
+        inputs = ReversibleCircuit()
+        for line in range(num_lines):
+            inputs.add_input_line(line)
+        inputs.extend(circuit.gates())
+        states = simulate_reversible_states(inputs, exhaustive_batch(num_lines))
+        bits = unpack_bits(states, 1 << num_lines).astype(np.int64)
+        return (bits << np.arange(num_lines)[:, np.newaxis]).sum(axis=0)
+
+    def test_simulator_agrees_with_permutation(self):
+        # A gate whose only controls contradict has an empty care mask but
+        # never fires; the simulator must not treat it as a NOT.
+        circuit = self._empty()
+        circuit.extend(self.MESSY)
+        small = [case for case in CASES if case.num_lines() <= 8]
+        for case in [circuit, *small]:
+            assert np.array_equal(
+                self._simulated_permutation(case), case.to_permutation()
+            )
+
+    def test_not_merging_skips_unsatisfiable_gates(self):
+        unsat_middle = [
+            ToffoliGate.x(2),
+            ToffoliGate(((0, True), (0, False), (2, True)), 1),
+            ToffoliGate.x(2),
+        ]
+        # Only contradicted controls: empty care mask, but not a NOT gate.
+        unsat_not = ToffoliGate(((1, False), (1, True)), 0)
+        middle = ToffoliGate(((0, True),), 2)
+        unsat_first = [unsat_not, middle, ToffoliGate.x(0)]
+        unsat_last = [ToffoliGate.x(0), middle, unsat_not]
+        for gates in (unsat_middle, unsat_first, unsat_last):
+            circuit = self._empty()
+            circuit.extend(gates)
+            assert merge_not_gates(circuit) is circuit
+            assert merge_not_gates_reference(circuit).gates() == circuit.gates()
+
+    def test_append_controls_validation(self):
+        circuit = self._empty(3)
+        with pytest.raises(ValueError):
+            circuit.append_controls(((3, True),), 0)  # control beyond lines
+        with pytest.raises(ValueError):
+            circuit.append_controls(((0, True), (0, False)), 0)  # target control
+        with pytest.raises(ValueError):
+            circuit.append_controls(((-1, True),), 0)  # negative line
+        assert circuit.num_gates() == 0
+
+    @pytest.mark.parametrize(
+        "flow, parameters, gates, t_count",
+        [
+            ("esop", {"p": 1}, 19, 120),
+            ("lut", {"strategy": "bounded", "k": 3, "max_pebbles": 0.5}, 386, 2270),
+        ],
+        ids=["esop-p1", "lut-bounded"],
+    )
+    def test_rev_default_runs_mask_native(
+        self, monkeypatch, flow, parameters, gates, t_count
+    ):
+        import repro.opt.targets
+        import repro.quantum.tcount
+        import repro.reversible.optimize
+        from repro.core.flows import run_flow
+        from repro.verify import check_equivalent
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a *_reference oracle ran in production")
+
+        for module in (
+            repro.reversible.optimize,
+            repro.quantum.tcount,
+            repro.opt.targets,
+        ):
+            for name in dir(module):
+                if name.endswith("_reference"):
+                    monkeypatch.setattr(module, name, forbidden)
+        result = run_flow(
+            flow, "intdiv", 4, verify="off", rev_opt="rev-default", **parameters
+        )
+        circuit = result.circuit
+        assert (circuit.num_gates(), circuit.t_count()) == (gates, t_count)
+        assert check_equivalent(result.context["aig"], circuit, mode="full")
 
 
 class TestPickling:
@@ -362,7 +538,6 @@ class TestGateStoreUnit:
     def test_from_columns_and_repr(self):
         store = GateStore.from_columns([2], [0b11], [0b01], [2])
         assert len(store) == 1
-        assert store.is_canonical()
         assert "gates=1" in repr(store)
         gate = store.gate_at(0)
         assert gate == ToffoliGate(((0, True), (1, False)), 2)

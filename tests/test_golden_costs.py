@@ -62,8 +62,9 @@ GOLDEN_RTOF_RESOURCES = [
     ("intdiv", 3, "esop", {"p": 0}, 36, 19, 7),
     ("intdiv", 3, "hierarchical", {"strategy": "bennett"}, 532, 192, 51),
     ("intdiv", 3, "lut", {"strategy": "bennett", "k": 3}, 58, 31, 10),
+    ("intdiv", 3, "lut", {"strategy": "bounded", "k": 2, "max_pebbles": 0.5}, 1302, 611, 30),
     ("intdiv", 4, "esop", {"p": 0}, 142, 90, 10),
-    ("intdiv", 4, "esop", {"p": 1}, 120, 50, 13),
+    ("intdiv", 4, "esop", {"p": 1}, 120, 49, 13),
     ("intdiv", 4, "hierarchical", {"strategy": "bennett"}, 1190, 322, 115),
     ("intdiv", 4, "lut", {"strategy": "bennett", "k": 3}, 1088, 487, 56),
     ("newton", 2, "symbolic", {}, 28, 16, 3),
